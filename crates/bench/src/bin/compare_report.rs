@@ -1,15 +1,8 @@
 //! Diffs two `report` outputs for performance regressions on the tracked
-//! tables (E7 solver matrix, WP weak-pipeline table, PAR
-//! parallel-refinement table, the DET determinization table, the KOBS
-//! one-arena ≈ₖ-sweep table, the OTF protocol-corpus table, the DELTA
-//! incremental-maintenance table, and the MEM resident-bytes table).
-//!
-//! The report header stamps the host core count (`host: cores=N …`).  When
-//! the baseline was recorded on a host with a different core count, PAR
-//! regressions — and the `det-par` / `rebuild-par` columns, the only other
-//! thread-scaling measurements — are downgraded to warnings; thread-scaling
-//! numbers from a different machine shape are not comparable enough to
-//! fail CI on.
+//! tables (E7 solver matrix, WP weak-pipeline table, the DET
+//! determinization table, the KOBS one-arena ≈ₖ-sweep table, the OTF
+//! protocol-corpus table, the DELTA incremental-maintenance table, and the
+//! MEM resident-bytes table).
 //!
 //! Usage:
 //!
@@ -39,7 +32,6 @@ enum Section {
     None,
     E7,
     Wp,
-    Par,
     Det,
     Kobs,
     Otf,
@@ -52,19 +44,15 @@ enum Section {
 /// E7 rows are `family states edges naive ks-both ks-small pt` (timings in
 /// the last four columns); WP rows are `family states pairs per-query
 /// session speedup` (timings in columns 3–4, the speedup ratio is derived
-/// and not compared); PAR rows are `family states edges ks-small par-1
-/// par-2 par-4 speedup4` (timings in columns 3–6, the speedup ratio again
-/// derived and not compared); DET rows are `family states subsets notion
-/// rep-scan det det-par speedup` (timings in columns 4–6, the speedup
-/// derived; 7-token pre-`det-par` baselines still parse); KOBS rows are
+/// and not compared); DET rows are `family states subsets notion rep-scan
+/// det speedup` (timings in columns 4–5, the speedup derived); KOBS rows are
 /// `family states subsets levels rep-bfs one-arena speedup` (timings in
 /// columns 4–5, the speedup derived); OTF rows are `family product union
 /// notion verdict otf-subsets full-subsets otf full` (subset counts ride
 /// the ratio check like MEM bytes do — an exploration blow-up fails like a
 /// slowdown — and the two timings close the row); DELTA rows are `family
-/// states edits/b i/q/f delta rebuild rebuild-par speedup` (timings in
-/// columns 4–6, the path-mix token and the derived speedup are skipped,
-/// and `rebuild-par` is thread-scaling like `det-par`).
+/// states edits/b i/q/f delta rebuild speedup` (timings in columns 4–5, the
+/// path-mix token and the derived speedup are skipped).
 /// MEM rows come in two shapes: 5-token session rows `family states subsets
 /// session-bytes arena-bytes` and 4-token CSR rows `family states edges
 /// csr-bytes` — byte counts ride the same ratio check as timings, so a
@@ -79,8 +67,6 @@ fn parse_report(text: &str) -> Rows {
                 Section::E7
             } else if trimmed.contains("WP:") {
                 Section::Wp
-            } else if trimmed.contains("PAR:") {
-                Section::Par
             } else if trimmed.contains("DET:") {
                 Section::Det
             } else if trimmed.contains("KOBS:") {
@@ -120,22 +106,16 @@ fn parse_report(text: &str) -> Rows {
                 rows.insert(key, timings);
             }
             Section::Det
-                if (tokens.len() == 7 || tokens.len() == 8)
+                if tokens.len() == 7
                     && tokens[1..3].iter().all(|t| numeric(t))
                     && !numeric(tokens[3])
                     && tokens[4..].iter().all(|t| numeric(t)) =>
             {
                 let key = format!("det/{}/{}/{}", tokens[0], tokens[3], tokens[1]);
-                // 8-token rows carry the 4-worker det-par column; 7-token
-                // baselines predate it and compare only the shared columns.
-                let cols: &[&str] = if tokens.len() == 8 {
-                    &["rep-scan", "det", "det-par"]
-                } else {
-                    &["rep-scan", "det"]
-                };
+                let cols = ["rep-scan", "det"];
                 let timings = cols
                     .iter()
-                    .zip(&tokens[4..tokens.len() - 1])
+                    .zip(&tokens[4..6])
                     .map(|(name, t)| ((*name).to_owned(), t.parse().expect("checked numeric")))
                     .collect();
                 rows.insert(key, timings);
@@ -167,26 +147,16 @@ fn parse_report(text: &str) -> Rows {
                 rows.insert(key, timings);
             }
             Section::Delta
-                if tokens.len() == 8
+                if tokens.len() == 7
                     && tokens[1..3].iter().all(|t| numeric(t))
                     && !numeric(tokens[3])
                     && tokens[4..].iter().all(|t| numeric(t)) =>
             {
                 let key = format!("delta/{}/{}/{}", tokens[0], tokens[1], tokens[2]);
-                let cols = ["delta", "rebuild", "rebuild-par"];
+                let cols = ["delta", "rebuild"];
                 let timings = cols
                     .iter()
-                    .zip(&tokens[4..7])
-                    .map(|(name, t)| ((*name).to_owned(), t.parse().expect("checked numeric")))
-                    .collect();
-                rows.insert(key, timings);
-            }
-            Section::Par if tokens.len() == 8 && tokens[1..].iter().all(|t| numeric(t)) => {
-                let key = format!("par/{}/{}", tokens[0], tokens[1]);
-                let cols = ["ks-small", "par-1", "par-2", "par-4"];
-                let timings = cols
-                    .iter()
-                    .zip(&tokens[3..7])
+                    .zip(&tokens[4..6])
                     .map(|(name, t)| ((*name).to_owned(), t.parse().expect("checked numeric")))
                     .collect();
                 rows.insert(key, timings);
@@ -213,20 +183,6 @@ fn parse_report(text: &str) -> Rows {
         }
     }
     rows
-}
-
-/// Extracts the host core count from a report's `host: cores=N …` header
-/// line, if present (reports predating the header have none).
-fn host_cores(text: &str) -> Option<u64> {
-    text.lines().find_map(|line| {
-        let trimmed = line.trim();
-        if !trimmed.starts_with("host:") {
-            return None;
-        }
-        trimmed
-            .split_whitespace()
-            .find_map(|tok| tok.strip_prefix("cores=").and_then(|v| v.parse().ok()))
-    })
 }
 
 struct Options {
@@ -283,30 +239,14 @@ fn main() -> ExitCode {
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
     };
-    let baseline_text = read(&opts.baseline);
-    let current_text = read(&opts.current);
-    let baseline = parse_report(&baseline_text);
-    let current = parse_report(&current_text);
+    let baseline = parse_report(&read(&opts.baseline));
+    let current = parse_report(&read(&opts.current));
     if baseline.is_empty() {
         eprintln!("no tracked rows found in baseline {}", opts.baseline);
         return ExitCode::from(2);
     }
-    let base_cores = host_cores(&baseline_text);
-    let cur_cores = host_cores(&current_text);
-    // Thread-scaling numbers only transfer between identically shaped hosts;
-    // when the baseline's core count is unknown or differs, PAR slowdowns are
-    // reported but do not fail the comparison.
-    let par_comparable = base_cores.is_some() && base_cores == cur_cores;
-    if !par_comparable {
-        println!(
-            "note: baseline cores={} vs current cores={} — PAR slowdowns downgraded to warnings",
-            base_cores.map_or_else(|| "unknown".to_owned(), |c| c.to_string()),
-            cur_cores.map_or_else(|| "unknown".to_owned(), |c| c.to_string()),
-        );
-    }
 
     let mut regressions = 0usize;
-    let mut warnings = 0usize;
     let mut compared = 0usize;
     let mut missing = 0usize;
     for (key, base_timings) in &baseline {
@@ -322,31 +262,17 @@ fn main() -> ExitCode {
             compared += 1;
             let ratio = cur / base;
             if ratio > opts.threshold {
-                // PAR rows and the det-par / rebuild-par columns are
-                // thread-scaling measurements: only comparable between
-                // same-shape hosts.
-                let thread_scaling =
-                    key.starts_with("par/") || col == "det-par" || col == "rebuild-par";
-                if thread_scaling && !par_comparable {
-                    println!(
-                        "WARN  {key} [{col}]: {base:.2} -> {cur:.2} ({:.0}% worse; core count \
-                         differs from baseline, not counted)",
-                        (ratio - 1.0) * 100.0
-                    );
-                    warnings += 1;
-                } else {
-                    println!(
-                        "REGRESSION  {key} [{col}]: {base:.2} -> {cur:.2} ({:.0}% worse)",
-                        (ratio - 1.0) * 100.0
-                    );
-                    regressions += 1;
-                }
+                println!(
+                    "REGRESSION  {key} [{col}]: {base:.2} -> {cur:.2} ({:.0}% worse)",
+                    (ratio - 1.0) * 100.0
+                );
+                regressions += 1;
             }
         }
     }
     println!(
-        "compared {compared} values over {} rows: {regressions} regression(s), {warnings} \
-         warning(s), {missing} missing row(s) (threshold {:.0}%, floor {})",
+        "compared {compared} values over {} rows: {regressions} regression(s), {missing} missing \
+         row(s) (threshold {:.0}%, floor {})",
         baseline.len(),
         (opts.threshold - 1.0) * 100.0,
         opts.floor_ms
@@ -364,7 +290,7 @@ mod tests {
 
     const SAMPLE: &str = "\
 ccs-equiv experiment report (wall-clock, release recommended)
-host: cores=4 CCS_THREADS=unset
+host: cores=4
 
 == E7: generalized partitioning on the CSR core — solver matrix per family ==
    (ks-both = both-halves baseline, ks-small = smaller-half upgrade)
@@ -377,15 +303,10 @@ host: cores=4 CCS_THREADS=unset
   family   states    pairs   per-query ms   session ms   speedup
  general      256       32         120.00         10.00      12.0
 
-== PAR: sharded parallel smaller-half — worklist sharding across threads ==
-   (par-N = Algorithm::KanellakisSmolkaParallel at N workers ...)
-  family   states      edges  ks-small ms     par-1 ms     par-2 ms     par-4 ms  speedup4
-   dense     4096      98304        40.00        44.00        24.00        14.00      2.86
-
 == DET: PSPACE-notion classification — shared subset automaton vs representative scan ==
    (rep-scan = one on-the-fly subset construction per (state, representative) pair; ...)
-  family   states   subsets     notion   rep-scan ms     det ms   det-par ms   speedup
-  blowup      256      7000   language        120.00      10.00         6.00      12.0
+  family   states   subsets     notion   rep-scan ms     det ms   speedup
+  blowup      256      7000   language        120.00      10.00      12.0
 
 == KOBS: exact ≈k hierarchy sweep — one-arena signature refinement vs per-pair BFS ==
    (sweep k = 1..=4 on the ≈k strictness ladder; ...)
@@ -399,8 +320,8 @@ host: cores=4 CCS_THREADS=unset
 
 == DELTA: incremental partition maintenance — delta-refine vs from-scratch rebuild ==
    (mutating_queries gadget stream; i/q/f = path mix; ...)
-  family   states  edits/b    i/q/f     delta ms   rebuild ms rebuild-par ms   speedup
- gadgets     1024        1    6/2/0         0.40         2.00           1.80       5.0
+  family   states  edits/b    i/q/f     delta ms   rebuild ms   speedup
+ gadgets     1024        1    6/2/0         0.40         2.00       5.0
 
 == MEM: resident bytes — honest capacity-based accounting per family ==
    (session = EquivSession::approx_resident_bytes after classify_all; ...)
@@ -417,14 +338,10 @@ host: cores=4 CCS_THREADS=unset
     #[test]
     fn parses_only_tracked_sections() {
         let rows = parse_report(SAMPLE);
-        assert_eq!(rows.len(), 10);
+        assert_eq!(rows.len(), 9);
         assert_eq!(
             rows["delta/gadgets/1024/1"],
-            vec![
-                ("delta".to_owned(), 0.4),
-                ("rebuild".to_owned(), 2.0),
-                ("rebuild-par".to_owned(), 1.8),
-            ]
+            vec![("delta".to_owned(), 0.4), ("rebuild".to_owned(), 2.0)]
         );
         assert_eq!(
             rows["otf/abp-c2/trace"],
@@ -445,24 +362,11 @@ host: cores=4 CCS_THREADS=unset
         assert_eq!(rows["mem/random/1024"], vec![("csr".to_owned(), 200_000.0)]);
         assert_eq!(
             rows["det/blowup/language/256"],
-            vec![
-                ("rep-scan".to_owned(), 120.0),
-                ("det".to_owned(), 10.0),
-                ("det-par".to_owned(), 6.0),
-            ]
+            vec![("rep-scan".to_owned(), 120.0), ("det".to_owned(), 10.0)]
         );
         assert_eq!(
             rows["kobs/ladder/276"],
             vec![("rep-bfs".to_owned(), 60.0), ("one-arena".to_owned(), 8.0)]
-        );
-        assert_eq!(
-            rows["par/dense/4096"],
-            vec![
-                ("ks-small".to_owned(), 40.0),
-                ("par-1".to_owned(), 44.0),
-                ("par-2".to_owned(), 24.0),
-                ("par-4".to_owned(), 14.0),
-            ]
         );
         assert_eq!(
             rows["e7/chain/1024"],
@@ -485,30 +389,8 @@ host: cores=4 CCS_THREADS=unset
     }
 
     #[test]
-    fn legacy_det_rows_without_det_par_still_parse() {
-        let text = "== DET: x ==\n\
-                    blowup 256 7000 language 120.00 10.00 12.0\n";
-        let rows = parse_report(text);
-        assert_eq!(
-            rows["det/blowup/language/256"],
-            vec![("rep-scan".to_owned(), 120.0), ("det".to_owned(), 10.0)]
-        );
-    }
-
-    #[test]
     fn header_lines_are_not_rows() {
         let rows = parse_report("== E7: x ==\nfamily states edges a b c d\n");
         assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn host_cores_reads_the_header() {
-        assert_eq!(host_cores(SAMPLE), Some(4));
-        assert_eq!(host_cores("host: cores=1 CCS_THREADS=2\n"), Some(1));
-        // Reports predating the header parse as unknown.
-        assert_eq!(
-            host_cores("ccs-equiv experiment report\n== E7: x ==\n"),
-            None
-        );
     }
 }

@@ -8,17 +8,17 @@
 //! the live list, so the help text cannot drift from the tables that
 //! actually exist.  `--only` (repeatable, comma-separable) restricts the
 //! run to the named sections so a single table — e.g. `det` — can be
-//! regenerated without rerunning E7/WP/PAR; bare positional names behave
-//! the same way.
+//! regenerated without rerunning E7/WP; bare positional names behave the
+//! same way.
 //!
-//! The E7, WP, PAR, DET, KOBS and OTF tables are additionally tracked for
-//! regressions:
+//! The E7, WP, DET, KOBS, OTF, DELTA and MEM tables are additionally
+//! tracked for regressions:
 //! the scheduled CI job diffs them against the committed snapshot under
 //! `crates/bench/baselines/` with the `compare_report` binary.
 
 use std::time::Instant;
 
-use ccs_bench::{equivalent_pair, general_process, standard_process, PAR_REPORT_SIZES};
+use ccs_bench::{equivalent_pair, general_process, standard_process};
 use ccs_equiv::{failures, kobs, strong, weak, EquivSession, Equivalence};
 use ccs_expr::{construct, parse};
 use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, DeltaRefiner, Dfa, EdgeDelta};
@@ -77,52 +77,6 @@ fn e7_partition_algorithms() {
     }
 }
 
-fn par_parallel_refinement() {
-    println!("\n== PAR: sharded parallel smaller-half — worklist sharding across threads ==");
-    println!(
-        "   (par-N = Algorithm::KanellakisSmolkaParallel at N workers; states below the \
-         fallback threshold ({}) run sequentially; speedup4 = ks-small / par-4)",
-        ccs_partition::par::sequential_threshold()
-    );
-    println!(
-        "{:>8} {:>8} {:>10} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "family", "states", "edges", "ks-small ms", "par-1 ms", "par-2 ms", "par-4 ms", "speedup4"
-    );
-    let families: [InstanceFamily; 2] = [
-        ("random", |n| {
-            ccs_workloads::instances::random(n, 2, 3 * n, 42)
-        }),
-        ("dense", |n| {
-            ccs_workloads::instances::dense_random(n, 4, 8, 16, 42)
-        }),
-    ];
-    for (family, make) in families {
-        for &n in &PAR_REPORT_SIZES {
-            let inst = make(n);
-            let _ = inst.num_edges();
-            let (p_seq, t_seq) = time_ms(|| solve(&inst, Algorithm::KanellakisSmolka));
-            let mut t_par = [0.0f64; 3];
-            for (slot, threads) in [1usize, 2, 4].into_iter().enumerate() {
-                let (p_par, t) =
-                    time_ms(|| solve(&inst, Algorithm::KanellakisSmolkaParallel { threads }));
-                assert_eq!(p_par, p_seq, "parallel ({threads} threads) diverged");
-                t_par[slot] = t;
-            }
-            println!(
-                "{:>8} {:>8} {:>10} {:>12.2} {:>12.2} {:>12.2} {:>12.2} {:>9.2}",
-                family,
-                inst.num_elements(),
-                inst.num_edges(),
-                t_seq,
-                t_par[0],
-                t_par[1],
-                t_par[2],
-                t_seq / t_par[2]
-            );
-        }
-    }
-}
-
 fn wp_weak_pipeline() {
     println!("\n== WP: weak pipeline — per-query free functions vs EquivSession batched ==");
     println!("   (m pair queries: m full saturate+refine pipelines vs one shared pipeline)");
@@ -160,12 +114,11 @@ fn det_determinized_classification() {
     println!("\n== DET: PSPACE-notion classification — shared subset automaton vs representative scan ==");
     println!(
         "   (rep-scan = one on-the-fly subset construction per (state, representative) pair;\n    \
-         det = one memoized subset arena + one product-DFA refinement; det-par = the same\n    \
-         arena explored and refined at 4 workers; blowup window = 8)"
+         det = one memoized subset arena + one product-DFA refinement; blowup window = 8)"
     );
     println!(
-        "{:>8} {:>8} {:>9} {:>10} {:>13} {:>10} {:>12} {:>9}",
-        "family", "states", "subsets", "notion", "rep-scan ms", "det ms", "det-par ms", "speedup"
+        "{:>8} {:>8} {:>9} {:>10} {:>13} {:>10} {:>9}",
+        "family", "states", "subsets", "notion", "rep-scan ms", "det ms", "speedup"
     );
     let notions = [
         ("language", Equivalence::Language),
@@ -179,29 +132,19 @@ fn det_determinized_classification() {
             let (scan, t_scan) = time_ms(|| scan_session.representative_scan_partition(notion));
             let det_session = EquivSession::for_process(&fsp);
             let (det, t_det) = time_ms(|| det_session.classify_all(notion));
-            let par_session = EquivSession::with_algorithm(
-                fsp.clone(),
-                Algorithm::KanellakisSmolkaParallel { threads: 4 },
-            );
-            let (det_par, t_det_par) = time_ms(|| par_session.classify_all(notion));
             assert_eq!(
                 det.as_ref(),
                 &scan,
                 "determinized engine diverged from the oracle"
             );
-            assert_eq!(
-                det_par, det,
-                "4-worker arena exploration diverged from sequential"
-            );
             println!(
-                "{:>8} {:>8} {:>9} {:>10} {:>13.2} {:>10.2} {:>12.2} {:>9.1}",
+                "{:>8} {:>8} {:>9} {:>10} {:>13.2} {:>10.2} {:>9.1}",
                 "blowup",
                 fsp.num_states(),
                 det_session.subset_arena_size(),
                 name,
                 t_scan,
                 t_det,
-                t_det_par,
                 t_scan / t_det
             );
         }
@@ -333,20 +276,13 @@ fn delta_incremental_maintenance() {
     println!(
         "   (mutating_queries gadget stream: per batch, DeltaRefiner::apply repairs the last\n    \
          stable partition — seeded splitter worklist, certificate check, quotient fallback —\n    \
-         vs solving the mutated instance from scratch; rebuild-par = the from-scratch solve\n    \
-         at 4 workers; i/q/f = incremental / quotient-rebuild / full-rebuild batch counts;\n    \
-         every batch asserts block-for-block agreement with both oracles)"
+         vs solving the mutated instance from scratch; i/q/f = incremental /\n    \
+         quotient-rebuild / full-rebuild batch counts; every batch asserts block-for-block\n    \
+         agreement with the from-scratch oracle)"
     );
     println!(
-        "{:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>14} {:>9}",
-        "family",
-        "states",
-        "edits/b",
-        "i/q/f",
-        "delta ms",
-        "rebuild ms",
-        "rebuild-par ms",
-        "speedup"
+        "{:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>9}",
+        "family", "states", "edits/b", "i/q/f", "delta ms", "rebuild ms", "speedup"
     );
     const BATCHES: usize = 8;
     // Throwaway pass so the first timed row does not absorb the cold-start
@@ -354,14 +290,13 @@ fn delta_incremental_maintenance() {
     {
         let (warm, _) = mutating_queries::mutating_instance(64, 0, 0, 42);
         let _ = solve(&warm, Algorithm::PaigeTarjan);
-        let _ = solve(&warm, Algorithm::KanellakisSmolkaParallel { threads: 4 });
     }
     for &n in &[256usize, 1024, 4096] {
         for &edits in &[1usize, 4] {
             let copies = n / mutating_queries::GADGET_STATES;
             let (inst, batches) = mutating_queries::mutating_instance(copies, BATCHES, edits, 42);
             let mut refiner = DeltaRefiner::new(inst, Algorithm::PaigeTarjan);
-            let (mut t_delta, mut t_rebuild, mut t_rebuild_par) = (0.0f64, 0.0f64, 0.0f64);
+            let (mut t_delta, mut t_rebuild) = (0.0f64, 0.0f64);
             for batch in &batches {
                 let delta = EdgeDelta {
                     additions: batch.additions.clone(),
@@ -371,19 +306,11 @@ fn delta_incremental_maintenance() {
                 t_delta += t;
                 let (oracle, t) = time_ms(|| solve(refiner.instance(), Algorithm::PaigeTarjan));
                 t_rebuild += t;
-                let (oracle_par, t) = time_ms(|| {
-                    solve(
-                        refiner.instance(),
-                        Algorithm::KanellakisSmolkaParallel { threads: 4 },
-                    )
-                });
-                t_rebuild_par += t;
                 assert_eq!(
                     refiner.partition(),
                     &oracle,
                     "delta-refined partition diverged from the from-scratch oracle"
                 );
-                assert_eq!(oracle_par, oracle, "4-worker rebuild diverged");
                 assert!(
                     refiner.instance().is_consistent_stable(refiner.partition()),
                     "delta-refined partition is not a stable refinement"
@@ -393,7 +320,7 @@ fn delta_incremental_maintenance() {
             // tracked snapshot, unlike the timings around it.
             let stats = refiner.stats();
             println!(
-                "{:>8} {:>8} {:>8} {:>8} {:>12.2} {:>12.2} {:>14.2} {:>9.1}",
+                "{:>8} {:>8} {:>8} {:>8} {:>12.2} {:>12.2} {:>9.1}",
                 "gadgets",
                 n,
                 edits,
@@ -403,7 +330,6 @@ fn delta_incremental_maintenance() {
                 ),
                 t_delta,
                 t_rebuild,
-                t_rebuild_par,
                 t_rebuild / t_delta
             );
         }
@@ -596,11 +522,6 @@ const TABLES: &[(&str, &str, fn())] = &[
         e7_partition_algorithms,
     ),
     (
-        "par",
-        "sharded parallel smaller-half vs sequential",
-        par_parallel_refinement,
-    ),
-    (
         "wp",
         "weak pipeline: per-query loop vs batched session",
         wp_weak_pipeline,
@@ -689,12 +610,8 @@ fn main() {
     }
     let want = |name: &str| selected.is_empty() || selected.iter().any(|a| a == name);
     println!("ccs-equiv experiment report (wall-clock, release recommended)");
-    // Stamp the host shape so `compare_report` can tell whether PAR timings
-    // from another container are comparable at all (cores) and whether the
-    // worker pool was pinned (CCS_THREADS).
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let ccs_threads = std::env::var("CCS_THREADS").unwrap_or_else(|_| "unset".to_owned());
-    println!("host: cores={cores} CCS_THREADS={ccs_threads}");
+    println!("host: cores={cores}");
     for (name, _, run) in TABLES {
         if want(name) {
             run();

@@ -19,14 +19,6 @@ pub const SCALING_SIZES: [usize; 4] = [32, 64, 128, 256];
 /// matters less than a readable growth curve.
 pub const REPORT_SIZES: [usize; 5] = [64, 128, 256, 512, 1024];
 
-/// E7-family sizes for the parallel-refinement (PAR) table and the
-/// `partition_par` bench.  The first point sits below the default
-/// sequential-fallback threshold of `ccs_partition::par` (so the table
-/// shows the fallback tracking the sequential engine); the remaining points
-/// are large enough for the sharded scans to amortize the per-round merge
-/// barrier.
-pub const PAR_REPORT_SIZES: [usize; 4] = [256, 1024, 2048, 4096];
-
 /// A random restricted observable process of the given size, with the
 /// default density used across all experiments (≈2.5 transitions per state,
 /// two actions).

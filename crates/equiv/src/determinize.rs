@@ -57,7 +57,7 @@ use std::collections::HashMap;
 
 use ccs_fsp::saturate::SaturatedView;
 use ccs_fsp::{ActionId, Fsp, StateId};
-use ccs_partition::{par, solve, Algorithm, Dfa, Partition};
+use ccs_partition::{solve, Algorithm, Dfa, Partition};
 
 use crate::check::Equivalence;
 use crate::compact::{narrow, subset_fingerprint};
@@ -131,22 +131,6 @@ impl SubsetRepr {
             SubsetRepr::Sparse
         }
     }
-}
-
-/// Result of one speculative `(subset, action)` frontier task, computed by a
-/// worker of the sharded exploration against the frozen round-start arena.
-enum StepResult {
-    /// The slot was already filled by an earlier lazy step — nothing to do.
-    Done,
-    /// The action is not weakly enabled: the transition is dead.
-    Dead,
-    /// A computed successor: its ε-closed sorted member set, fingerprint,
-    /// and the enabled-action set interning needs if the subset is new.
-    Target {
-        members: Vec<u32>,
-        fp: u64,
-        enabled: Vec<u32>,
-    },
 }
 
 /// The member storage behind the arena — see [`SubsetRepr`].
@@ -602,136 +586,6 @@ impl SubsetAutomaton {
         }
     }
 
-    /// [`SubsetAutomaton::explore`] sharded across `threads` scoped workers,
-    /// gated by the shared sequential-fallback knob: ground sets below
-    /// [`par::sequential_threshold`] states (`CCS_PAR_THRESHOLD`, default
-    /// [`par::DEFAULT_SEQUENTIAL_THRESHOLD`]) run the sequential loop
-    /// outright, where per-round coordination would dominate.
-    ///
-    /// Deterministic: for every thread count the resulting arena is
-    /// **byte-identical** to the sequential build — same subset ids in the
-    /// same intern order, same delta table, same spill lists (the root
-    /// `arena_determinism` suite enforces this at 1/2/8 threads).
-    pub fn explore_with(&mut self, view: &SaturatedView, threads: usize) {
-        self.explore_with_threshold(view, threads, par::sequential_threshold());
-    }
-
-    /// [`SubsetAutomaton::explore_with`] with an explicit sequential-fallback
-    /// threshold on the ground-set size (pass `0` to force the sharded
-    /// rounds, as the determinism suite does).
-    ///
-    /// Exploration proceeds in frontier *rounds*: every subset interned
-    /// before the round starts but not yet expanded contributes one task per
-    /// action.  Workers compute successor member sets (ε-closed unions over
-    /// the frozen [`SaturatedView`]), fingerprints, and speculative
-    /// enabled-sets against the round-start arena — which is immutable for
-    /// the whole round — into thread-local buffers; the merge barrier then
-    /// interns the results **in task order**, which is exactly the order the
-    /// sequential loop computes them in, so id assignment (and every
-    /// downstream artifact) cannot depend on the thread count.
-    pub fn explore_with_threshold(
-        &mut self,
-        view: &SaturatedView,
-        threads: usize,
-        threshold: usize,
-    ) {
-        if threads <= 1 || self.state_accepting.len() < threshold {
-            self.explore(view);
-            return;
-        }
-        let mut next: SubsetId = 0;
-        while (next as usize) < self.num_subsets() {
-            let round_end: SubsetId = narrow(self.num_subsets());
-            let num_tasks = (round_end - next) as usize * self.num_actions;
-            let results = {
-                let frozen = &*self;
-                par::sharded_map_with(num_tasks, threads, Vec::new, |buf, t| {
-                    frozen.frontier_task(
-                        view,
-                        next + narrow(t / frozen.num_actions),
-                        t % frozen.num_actions,
-                        buf,
-                    )
-                })
-            };
-            for (t, result) in results.into_iter().enumerate() {
-                self.merge_step(
-                    next + narrow(t / self.num_actions),
-                    t % self.num_actions,
-                    result,
-                );
-            }
-            next = round_end;
-        }
-    }
-
-    /// One speculative frontier step, computed by a worker against the
-    /// frozen round-start arena: a pure function of `(id, action)` and the
-    /// view, so any worker may run it in any order.  `buf` is the worker's
-    /// reusable member-union buffer.
-    fn frontier_task(
-        &self,
-        view: &SaturatedView,
-        id: SubsetId,
-        action: usize,
-        buf: &mut Vec<u32>,
-    ) -> StepResult {
-        if self.delta[id as usize * self.num_actions + action] != UNEXPLORED {
-            return StepResult::Done;
-        }
-        if self.enabled(id).binary_search(&narrow(action)).is_err() {
-            return StepResult::Dead;
-        }
-        buf.clear();
-        for x in self.store.iter(id) {
-            buf.extend(
-                view.successors(
-                    StateId::from_index(x as usize),
-                    ActionId::from_index(action),
-                )
-                .iter()
-                .map(|s| narrow(s.index())),
-            );
-        }
-        buf.sort_unstable();
-        buf.dedup();
-        let members = buf.clone();
-        let fp = subset_fingerprint(&members);
-        // Speculative: only consulted if the merge finds the subset is new,
-        // but computing it here keeps the merge barrier allocation-free.
-        let enabled = self.enabled_of(view, &members);
-        StepResult::Target {
-            members,
-            fp,
-            enabled,
-        }
-    }
-
-    /// Applies one task's result at the merge barrier — replaying exactly
-    /// what the sequential [`SubsetAutomaton::step`] would have done at this
-    /// point of the exploration order.  Duplicate targets discovered by
-    /// several tasks of one round resolve through [`SubsetAutomaton::lookup`]
-    /// to the id the earliest task interned.
-    fn merge_step(&mut self, id: SubsetId, action: usize, result: StepResult) {
-        let target = match result {
-            StepResult::Done => return,
-            StepResult::Dead => Self::DEAD,
-            StepResult::Target {
-                members,
-                fp,
-                enabled,
-            } => match self.lookup(fp, &members) {
-                Some(t) => t,
-                None => self.intern_new(fp, &members, &enabled),
-            },
-        };
-        let slot = id as usize * self.num_actions + action;
-        debug_assert_eq!(self.delta[slot], UNEXPLORED);
-        self.steps_computed += 1;
-        self.delta[slot] = target;
-        self.unexplored_slots -= 1;
-    }
-
     /// The fully-explored dense transition table (row-major, `|Σ|` columns)
     /// — compact 32-bit targets, exactly what
     /// [`Dfa::from_subset_automaton`] adopts.
@@ -846,24 +700,10 @@ pub fn determinized_partition(
     num_states: usize,
     algorithm: Algorithm,
 ) -> Partition {
-    determinized_partition_with(auto, view, notion, num_states, algorithm, 1)
-}
-
-/// [`determinized_partition`] with the exploration sharded across `threads`
-/// workers ([`SubsetAutomaton::explore_with`]); the arena — and therefore
-/// the partition — is identical at any thread count.
-pub fn determinized_partition_with(
-    auto: &mut SubsetAutomaton,
-    view: &SaturatedView,
-    notion: DetNotion,
-    num_states: usize,
-    algorithm: Algorithm,
-    threads: usize,
-) -> Partition {
     let starts: Vec<SubsetId> = (0..num_states)
         .map(|s| auto.start(view, StateId::from_index(s)))
         .collect();
-    auto.explore_with(view, threads);
+    auto.explore(view);
     let classes = auto.classes(view, notion);
     let dfa = Dfa::from_subset_automaton(
         auto.num_actions(),
@@ -1279,54 +1119,6 @@ mod tests {
         );
         assert_eq!(DetNotion::of(Equivalence::Strong), None);
         assert_eq!(DetNotion::of(Equivalence::KObservational(1)), None);
-    }
-
-    /// The parallel frontier rounds must reproduce the sequential arena
-    /// byte-for-byte at any thread count, including when lazy steps already
-    /// filled part of the table before exploration starts.
-    #[test]
-    fn parallel_explore_builds_the_sequential_arena() {
-        let f = format::parse(
-            "trans p tau q\ntrans q a r\ntrans r tau p\ntrans s a t\ntrans s tau s\n\
-             trans t b p\ntrans q b s\ntrans u a v\ntrans u a w\ntrans v b x\ntrans w c y\n\
-             accept r t u v w x y",
-        )
-        .unwrap();
-        let closure = tau_closure(&f);
-        let view = SaturatedView::build(&f, &closure);
-        let mut sequential = SubsetAutomaton::new(&f);
-        for s in f.state_ids() {
-            sequential.start(&view, s);
-        }
-        sequential.explore(&view);
-        for threads in [1, 2, 8] {
-            let mut parallel = SubsetAutomaton::new(&f);
-            for s in f.state_ids() {
-                parallel.start(&view, s);
-            }
-            // A few lazy steps first, so rounds see pre-filled slots.
-            let s0 = parallel.start(&view, f.start());
-            for a in f.action_ids().take(2) {
-                parallel.step(&view, s0, a);
-            }
-            parallel.explore_with_threshold(&view, threads, 0);
-            assert_eq!(
-                parallel.num_subsets(),
-                sequential.num_subsets(),
-                "{threads}"
-            );
-            assert_eq!(
-                parallel.transition_table(),
-                sequential.transition_table(),
-                "{threads} threads"
-            );
-            assert_eq!(parallel.steps_computed(), sequential.steps_computed());
-            for id in 0..narrow(sequential.num_subsets()) {
-                assert_eq!(parallel.subset(id), sequential.subset(id), "subset {id}");
-                assert_eq!(parallel.enabled(id), sequential.enabled(id), "enabled {id}");
-                assert_eq!(parallel.is_accepting(id), sequential.is_accepting(id));
-            }
-        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   `k+1` is the Myhill–Nerode partition of the subset DFA whose output
 //!   classes are the interned per-subset *class-set signatures* over level
 //!   `k` ([`SubsetAutomaton::kobs_signatures`]).  A whole `k = 1..K` sweep
-//!   costs **one** exploration (parallelizable, see
-//!   [`SubsetAutomaton::explore_with`]) plus one linear signature pass and
-//!   one partition refinement per level — no per-pair searches at all.
+//!   costs **one** exploration ([`SubsetAutomaton::explore`]) plus one
+//!   linear signature pass and one partition refinement per level — no
+//!   per-pair searches at all.
 //!
 //! Note that the levels `≈ₖ` are *not* in general a refinement chain for
 //! small `k` (only their limit is characterised by Proposition 2.2.1), so
@@ -63,31 +63,25 @@ pub fn kobs_partition(fsp: &Fsp, k: usize) -> Partition {
 }
 
 /// [`kobs_partition`] on the shared subset arena: one exploration, then one
-/// signature pass + one DFA refinement per level (Paige–Tarjan, sequential
-/// exploration — see [`kobs_partition_arena_with`] for the knobs).
+/// signature pass + one DFA refinement per level (Paige–Tarjan — see
+/// [`kobs_partition_arena_with`] to pick the solver).
 #[must_use]
 pub fn kobs_partition_arena(fsp: &Fsp, k: usize) -> Partition {
-    kobs_partition_arena_with(fsp, k, Algorithm::PaigeTarjan, 1)
+    kobs_partition_arena_with(fsp, k, Algorithm::PaigeTarjan)
 }
 
-/// The one-arena `≈ₖ` sweep with explicit solver and exploration-thread
-/// knobs: every ε-closure start subset is interned, the arena is explored
-/// **once** (sharded across `threads` workers when past the
-/// `CCS_PAR_THRESHOLD` gate), and each level `1..=k` re-seeds the same
-/// subset DFA with its [`kobs_signatures`](SubsetAutomaton::kobs_signatures)
-/// and refines it.  A state's class is the block of its start subset.
+/// The one-arena `≈ₖ` sweep with an explicit solver: every ε-closure start
+/// subset is interned, the arena is explored **once**, and each level
+/// `1..=k` re-seeds the same subset DFA with its
+/// [`kobs_signatures`](SubsetAutomaton::kobs_signatures) and refines it.  A
+/// state's class is the block of its start subset.
 ///
 /// Exponential worst case in the arena size, as Theorem 4.1(b) demands —
 /// but paid once per subset for the whole sweep, not once per pair per
 /// level.  Agreement with the [`kobs_partition`] oracle for `k ∈ 0..=4` is
-/// enforced by the root `arena_determinism` suite.
+/// enforced by the crate's `determinize` integration suite.
 #[must_use]
-pub fn kobs_partition_arena_with(
-    fsp: &Fsp,
-    k: usize,
-    algorithm: Algorithm,
-    threads: usize,
-) -> Partition {
+pub fn kobs_partition_arena_with(fsp: &Fsp, k: usize, algorithm: Algorithm) -> Partition {
     let mut current = Partition::from_assignment(&extension_assignment(fsp));
     if k == 0 {
         return current;
@@ -96,7 +90,7 @@ pub fn kobs_partition_arena_with(
     let view = SaturatedView::build(fsp, &closure);
     let mut auto = SubsetAutomaton::new(fsp);
     let starts: Vec<SubsetId> = fsp.state_ids().map(|s| auto.start(&view, s)).collect();
-    auto.explore_with(&view, threads);
+    auto.explore(&view);
     // The transition structure is level-independent: build the DFA once and
     // swap each level's signature classes into it.
     let mut dfa = Dfa::from_subset_automaton(
@@ -130,12 +124,11 @@ pub(crate) fn arena_level(
     num_states: usize,
     prev: &Partition,
     algorithm: Algorithm,
-    threads: usize,
 ) -> Partition {
     let starts: Vec<SubsetId> = (0..num_states)
         .map(|s| auto.start(view, StateId::from_index(s)))
         .collect();
-    auto.explore_with(view, threads);
+    auto.explore(view);
     let signatures = auto.kobs_signatures(prev);
     let dfa = Dfa::from_subset_automaton(
         auto.num_actions(),
@@ -406,16 +399,11 @@ mod tests {
             for k in 0..=4 {
                 let oracle = kobs_partition(&f, k);
                 assert_eq!(kobs_partition_arena(&f, k), oracle, "k={k}: {text}");
-                // Solver- and thread-count-independent.
+                // Solver-independent.
                 assert_eq!(
-                    kobs_partition_arena_with(
-                        &f,
-                        k,
-                        Algorithm::KanellakisSmolkaParallel { threads: 2 },
-                        2,
-                    ),
+                    kobs_partition_arena_with(&f, k, Algorithm::KanellakisSmolka),
                     oracle,
-                    "k={k} parallel: {text}"
+                    "k={k} kanellakis-smolka: {text}"
                 );
             }
         }

@@ -37,11 +37,7 @@
 //!   classifies the whole state space ([`EquivSession::classify_all`]) from
 //!   that shared state.  See the [`session`] module docs for the
 //!   artifact-sharing graph and the amortized-cost argument
-//!   (Theorem 4.1(a)).  With the parallel solver as the session default,
-//!   the subset-arena exploration behind the PSPACE notions is itself
-//!   sharded across the same thread pool
-//!   ([`determinize::SubsetAutomaton::explore_with`]) with a deterministic
-//!   merge barrier — same arena bytes at any thread count.
+//!   (Theorem 4.1(a)).
 //!
 //! # Quick example
 //!

@@ -31,10 +31,7 @@
 //! congruence-pruned synchronized search with a persistent pair cache), and
 //! the `≈ₖ` hierarchy (each level refines the same arena re-seeded with the
 //! previous level's class-set signatures — a whole `k = 1..K` sweep explores
-//! once).  When the session's default algorithm is the parallel solver, the
-//! arena exploration itself is sharded across the same thread pool with a
-//! deterministic merge barrier, so the arena stays byte-identical at any
-//! thread count.  The pre-determinization paths survive as oracles:
+//! once).  The pre-determinization paths survive as oracles:
 //! [`EquivSession::representative_scan_partition`] for the determinized
 //! notions and [`kobs::kobs_partition`] for the levels.
 //!
@@ -183,9 +180,7 @@ pub struct EquivSession {
     /// counter the mutation-path retention tests observe.
     closure_builds: AtomicUsize,
     /// Solver used by [`EquivSession::classify_all`] and the batched APIs
-    /// when the caller does not name one — e.g.
-    /// [`Algorithm::KanellakisSmolkaParallel`] to run the session's one big
-    /// refinement sharded across threads.
+    /// when the caller does not name one.
     default_algorithm: Algorithm,
 }
 
@@ -210,8 +205,7 @@ impl EquivSession {
 
     /// Creates a session owning `fsp` whose default solver is `algorithm` —
     /// every [`EquivSession::classify_all`] / batched query then runs its
-    /// refinement with it (e.g. sharded across threads with
-    /// [`Algorithm::KanellakisSmolkaParallel`]).
+    /// refinement with it.
     #[must_use]
     pub fn with_algorithm(fsp: Fsp, algorithm: Algorithm) -> Self {
         let mut session = EquivSession::new(fsp);
@@ -456,14 +450,7 @@ impl EquivSession {
                 let auto = state
                     .automaton
                     .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-                kobs::arena_level(
-                    auto,
-                    view,
-                    self.fsp.num_states(),
-                    &prev,
-                    algorithm,
-                    Self::explore_threads(algorithm),
-                )
+                kobs::arena_level(auto, view, self.fsp.num_states(), &prev, algorithm)
             }
             Equivalence::Language | Equivalence::Trace | Equivalence::Failure => {
                 let det = DetNotion::of(notion).expect("matched a determinizable notion");
@@ -472,28 +459,14 @@ impl EquivSession {
                 let auto = state
                     .automaton
                     .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-                determinize::determinized_partition_with(
+                determinize::determinized_partition(
                     auto,
                     view,
                     det,
                     self.fsp.num_states(),
                     algorithm,
-                    Self::explore_threads(algorithm),
                 )
             }
-        }
-    }
-
-    /// Worker count for sharded frontier exploration, derived from the
-    /// solver choice: the parallel solver's thread pool doubles as the
-    /// exploration pool (both default through `CCS_THREADS` via
-    /// [`Algorithm::parallel_default`]); any other solver explores
-    /// sequentially.  The arena is byte-identical either way — the knob is
-    /// pure wall-clock.
-    fn explore_threads(algorithm: Algorithm) -> usize {
-        match algorithm {
-            Algorithm::KanellakisSmolkaParallel { threads } => threads,
-            _ => 1,
         }
     }
 
@@ -1273,47 +1246,6 @@ mod tests {
         );
         assert_eq!(session.cached_partitions(), 1);
         assert_eq!(session.refinements_run(), 1);
-    }
-
-    /// A session defaulted to the sharded parallel solver must classify
-    /// every notion exactly as the Paige–Tarjan default does — the
-    /// refinement-backed notions run their one big refinement through
-    /// `par::refine`, the pairwise ones are unaffected by the solver.
-    #[test]
-    fn parallel_default_algorithm_classifies_identically() {
-        let (merged, split) = table_ii_pair();
-        let union = ccs_fsp::ops::disjoint_union(&merged, &split);
-        let reference = EquivSession::new(union.fsp.clone());
-        let parallel = EquivSession::with_algorithm(
-            union.fsp.clone(),
-            Algorithm::KanellakisSmolkaParallel { threads: 2 },
-        );
-        assert_eq!(
-            parallel.default_algorithm(),
-            Algorithm::KanellakisSmolkaParallel { threads: 2 }
-        );
-        for notion in [
-            Equivalence::Strong,
-            Equivalence::Observational,
-            Equivalence::KObservational(2),
-            Equivalence::Failure,
-        ] {
-            assert_eq!(
-                parallel.classify_all(notion),
-                reference.classify_all(notion),
-                "{notion}"
-            );
-        }
-        // Batched pair queries go through the parallel default as well.
-        let states: Vec<StateId> = union.fsp.state_ids().collect();
-        let pairs: Vec<(StateId, StateId)> = states
-            .iter()
-            .flat_map(|&a| states.iter().map(move |&b| (a, b)))
-            .collect();
-        assert_eq!(
-            parallel.equivalent_pairs(Equivalence::Observational, &pairs),
-            reference.equivalent_pairs(Equivalence::Observational, &pairs)
-        );
     }
 
     #[test]

@@ -48,16 +48,14 @@ use crate::graph::LabeledGraph;
 use crate::ids::{self, StateId};
 use crate::{Instance, Partition};
 
-/// The initial fine partition shared by [`refine`] and the sharded
-/// [`par`](crate::par) engine: the instance's initial partition refined by
-/// the per-label "has at least one successor" signature, so the seed is
-/// stable with respect to the single initial splitter group (the whole set).
+/// The initial fine partition of [`refine`]: the instance's initial
+/// partition refined by the per-label "has at least one successor"
+/// signature, so the seed is stable with respect to the single initial
+/// splitter group (the whole set).
 ///
 /// Returns the live `(block_of, blocks)` state the worklist loop then
-/// refines, in the compact 32-bit layout the loops keep hot.  Both engines
-/// must start from this exact seed — it is part of the determinism contract
-/// checked by `tests/parallel_determinism.rs`.
-pub(crate) fn initial_fine_partition(
+/// refines, in the compact 32-bit layout the loops keep hot.
+fn initial_fine_partition(
     instance: &Instance,
     graph: &LabeledGraph,
 ) -> (Vec<u32>, Vec<Vec<StateId>>) {

@@ -41,11 +41,6 @@
 //! * [`paige_tarjan`] — the Paige–Tarjan (1987) "process the smaller half"
 //!   algorithm with compound blocks and edge counts, `O(m log n + n)`
 //!   (Theorem 3.1), generalized to labelled relations.
-//! * [`par`] — the smaller-half algorithm with the pending-splitter worklist
-//!   *sharded across threads*: a std-only scoped-thread pool scans splitter
-//!   shards in parallel and a deterministic merge barrier applies the
-//!   three-way splits, falling back to the sequential engine below a
-//!   configurable state-count threshold.
 //!
 //! All of them produce the same (canonical) partition; the test-suites, the
 //! root property tests, and the `partition_refinement`/`partition_core`
@@ -93,7 +88,6 @@ mod instance;
 pub mod kanellakis_smolka;
 pub mod naive;
 pub mod paige_tarjan;
-pub mod par;
 mod partition;
 mod union_find;
 
@@ -117,39 +111,18 @@ pub enum Algorithm {
     /// The Kanellakis–Smolka smaller-half algorithm (`O(c²·n·log n)` for
     /// fan-out bounded by `c`).
     KanellakisSmolka,
-    /// The smaller-half algorithm with the splitter worklist sharded across
-    /// `threads` scoped worker threads ([`par::refine`]); deterministic —
-    /// block-for-block identical to [`Algorithm::KanellakisSmolka`] — and
-    /// falling back to it below [`par::sequential_threshold`] states.
-    KanellakisSmolkaParallel {
-        /// Worker-thread count ([`par::default_threads`] honours the
-        /// `CCS_THREADS` environment variable).
-        threads: usize,
-    },
     /// The Paige–Tarjan smaller-half algorithm (Theorem 3.1).
     PaigeTarjan,
 }
 
 impl Algorithm {
-    /// All available algorithms, useful for cross-checking loops.  The
-    /// parallel entry runs with two workers so the cross-checks exercise
-    /// real sharding.
-    pub const ALL: [Algorithm; 5] = [
+    /// All available algorithms, useful for cross-checking loops.
+    pub const ALL: [Algorithm; 4] = [
         Algorithm::Naive,
         Algorithm::KanellakisSmolkaBothHalves,
         Algorithm::KanellakisSmolka,
-        Algorithm::KanellakisSmolkaParallel { threads: 2 },
         Algorithm::PaigeTarjan,
     ];
-
-    /// The parallel smaller-half algorithm at the environment-selected
-    /// worker count (`CCS_THREADS`, else the machine's parallelism).
-    #[must_use]
-    pub fn parallel_default() -> Algorithm {
-        Algorithm::KanellakisSmolkaParallel {
-            threads: par::default_threads(),
-        }
-    }
 }
 
 impl std::fmt::Display for Algorithm {
@@ -158,9 +131,6 @@ impl std::fmt::Display for Algorithm {
             Algorithm::Naive => f.write_str("naive"),
             Algorithm::KanellakisSmolkaBothHalves => f.write_str("ks-both-halves"),
             Algorithm::KanellakisSmolka => f.write_str("kanellakis-smolka"),
-            Algorithm::KanellakisSmolkaParallel { threads } => {
-                write!(f, "ks-parallel:{threads}")
-            }
             Algorithm::PaigeTarjan => f.write_str("paige-tarjan"),
         }
     }
@@ -174,7 +144,6 @@ pub fn solve(instance: &Instance, algorithm: Algorithm) -> Partition {
         Algorithm::Naive => naive::refine(instance),
         Algorithm::KanellakisSmolkaBothHalves => kanellakis_smolka::refine_both_halves(instance),
         Algorithm::KanellakisSmolka => kanellakis_smolka::refine(instance),
-        Algorithm::KanellakisSmolkaParallel { threads } => par::refine(instance, threads),
         Algorithm::PaigeTarjan => paige_tarjan::refine(instance),
     }
 }
@@ -191,12 +160,8 @@ mod tests {
             "ks-both-halves"
         );
         assert_eq!(Algorithm::KanellakisSmolka.to_string(), "kanellakis-smolka");
-        assert_eq!(
-            Algorithm::KanellakisSmolkaParallel { threads: 4 }.to_string(),
-            "ks-parallel:4"
-        );
         assert_eq!(Algorithm::PaigeTarjan.to_string(), "paige-tarjan");
-        assert_eq!(Algorithm::ALL.len(), 5);
+        assert_eq!(Algorithm::ALL.len(), 4);
     }
 
     #[test]

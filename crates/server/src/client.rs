@@ -98,6 +98,10 @@ impl Client {
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are small and answered before the next one is sent, so
+        // Nagle's algorithm would only hold a request's tail back until the
+        // server's delayed ACK.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -113,8 +117,11 @@ impl Client {
     /// [`ClientError::Server`] for structured errors, [`ClientError::Io`] /
     /// [`ClientError::Protocol`] for transport problems.
     pub fn call(&mut self, request: &Json) -> Result<Json, ClientError> {
-        self.writer.write_all(request.to_string().as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per request line: with `TCP_NODELAY` set, a separate
+        // newline write would go out as a second segment.
+        let mut request_line = request.to_string();
+        request_line.push('\n');
+        self.writer.write_all(request_line.as_bytes())?;
         self.writer.flush()?;
         let mut line = String::new();
         let read = self.reader.read_line(&mut line)?;
@@ -357,4 +364,43 @@ fn field_usize(response: &Json, key: &str) -> Result<usize, ClientError> {
         .and_then(Json::as_i64)
         .and_then(|n| usize::try_from(n).ok())
         .ok_or_else(|| ClientError::Protocol(format!("response lacks numeric field {key:?}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    /// A request split across two writes on a Nagle-enabled socket holds its
+    /// second segment until the peer's delayed ACK (~40 ms on Linux), so 20
+    /// round trips would take most of a second.  Against a peer that answers
+    /// each request in a single write, they must take a few milliseconds.
+    #[test]
+    fn round_trips_do_not_wait_for_delayed_acks() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().expect("local address");
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept the client");
+            let mut writer = stream.try_clone().expect("clone the stream");
+            for line in BufReader::new(stream).lines() {
+                line.expect("read a request line");
+                writer
+                    .write_all(b"{\"ok\":true,\"pong\":true}\n")
+                    .expect("answer in one write");
+            }
+        });
+        let mut client = Client::connect(addr).expect("connect");
+        let start = Instant::now();
+        for _ in 0..20 {
+            assert!(client.ping().expect("ping"));
+        }
+        let elapsed = start.elapsed();
+        drop(client);
+        peer.join().expect("peer thread");
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "20 pings took {elapsed:?}"
+        );
+    }
 }

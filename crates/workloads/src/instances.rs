@@ -91,11 +91,9 @@ pub fn random(num_elements: usize, num_labels: usize, edges: usize, seed: u64) -
 /// `initial_classes` initial blocks (pass `1` for the trivial initial
 /// partition).  The initial classes keep refinement from collapsing after a
 /// round or two — a dense uniform graph with one initial block is
-/// near-homogeneous — so the per-splitter preimage scans genuinely dominate.
-/// This is the scaling family of the report's PAR table and the
-/// `partition_par` bench: those scans are exactly the work
-/// [`ccs_partition::par`] shards across threads, while the bounded fan-out
-/// keeps the Kanellakis–Smolka `O(c²·n·log n)` charge honest.
+/// near-homogeneous — so the per-splitter preimage scans genuinely dominate,
+/// while the bounded fan-out keeps the Kanellakis–Smolka `O(c²·n·log n)`
+/// charge honest.  The report's MEM table measures its CSR footprint.
 /// Deterministic in `seed`.
 #[must_use]
 pub fn dense_random(
@@ -192,8 +190,7 @@ mod tests {
         // Duplicates may collapse, but the draw count is the upper bound.
         assert!(inst.num_edges() <= 32 * 2 * 4);
         assert!(inst.num_edges() > 32);
-        let p = solve(&inst, Algorithm::KanellakisSmolkaParallel { threads: 2 });
-        assert_eq!(p, solve(&inst, Algorithm::KanellakisSmolka));
+        let p = solve(&inst, Algorithm::KanellakisSmolka);
         assert!(inst.is_consistent_stable(&p));
     }
 

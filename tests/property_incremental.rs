@@ -1,27 +1,15 @@
 //! Cross-crate property tests for incremental partition maintenance: random
 //! edit streams drive a [`DeltaRefiner`] per solver engine (the four
-//! sequential solvers plus the sharded parallel engine at 1, 2 and 8
-//! workers) and the session-level `apply_delta` path, asserting after every
-//! step that the maintained state is block-for-block identical to a
-//! from-scratch rebuild — partitions via the kernel oracle, verdicts via
-//! `classify_all` against a fresh [`EquivSession`].
+//! solvers of [`Algorithm::ALL`]) and the session-level `apply_delta` path,
+//! asserting after every step that the maintained state is block-for-block
+//! identical to a from-scratch rebuild — partitions via the kernel oracle,
+//! verdicts via `classify_all` against a fresh [`EquivSession`].
 
 use ccs_equiv::{EquivSession, Equivalence};
 use ccs_fsp::{Label, StateId};
 use ccs_partition::{solve, Algorithm, DeltaRefiner, EdgeDelta};
 use ccs_workloads::{instances, mutating_queries, random, RandomConfig};
 use proptest::prelude::*;
-
-/// Every maintenance engine under test.
-const ENGINES: [Algorithm; 7] = [
-    Algorithm::Naive,
-    Algorithm::KanellakisSmolkaBothHalves,
-    Algorithm::KanellakisSmolka,
-    Algorithm::PaigeTarjan,
-    Algorithm::KanellakisSmolkaParallel { threads: 1 },
-    Algorithm::KanellakisSmolkaParallel { threads: 2 },
-    Algorithm::KanellakisSmolkaParallel { threads: 8 },
-];
 
 /// A deterministic xorshift stream, so a failing case shrinks to a seed.
 fn xorshift(seed: &mut u64) -> u64 {
@@ -45,7 +33,7 @@ proptest! {
         mut seed in 1u64..1_000_000,
     ) {
         let inst = instances::random(n, labels, density * n, seed);
-        let mut refiners: Vec<DeltaRefiner> = ENGINES
+        let mut refiners: Vec<DeltaRefiner> = Algorithm::ALL
             .iter()
             .map(|&alg| DeltaRefiner::with_threshold(inst.clone(), alg, 1.0))
             .collect();
@@ -69,7 +57,7 @@ proptest! {
             }
             let oracle = solve(refiners[0].instance(), Algorithm::PaigeTarjan);
             prop_assert!(refiners[0].instance().is_consistent_stable(&oracle));
-            for (refiner, alg) in refiners.iter().zip(ENGINES) {
+            for (refiner, alg) in refiners.iter().zip(Algorithm::ALL) {
                 prop_assert_eq!(
                     refiner.partition(),
                     &oracle,
