@@ -1,133 +1,15 @@
-//! Determinism suite for the sharded parallel subset exploration: at 1, 2
-//! and 8 worker threads, `SubsetAutomaton::explore_with_threshold` must
-//! produce an arena byte-identical to the sequential lazy BFS — the same
-//! subset ids in the same intern order, the same member sets, enabled
-//! lists, acceptance bits, transition table and refusal classes — on
-//! structured families, the determinization blowup family, the `≈ₖ`
-//! ladder, and proptest-drawn random processes.
-//!
-//! The parallel runs force the sequential-fallback threshold to `0` so
-//! even small processes exercise the sharded rounds, mirroring
-//! `tests/parallel_determinism.rs` for the refinement engine.
-//!
-//! The second half pins the one-arena `≈ₖ` engine to the per-pair
-//! synchronized-BFS oracle for k ∈ 0..=4, both through the free functions
-//! and through a session sweep.
+//! The one-arena `≈ₖ` engine pinned to the per-pair synchronized-BFS
+//! oracle for k ∈ 0..=4, both through the free functions and through a
+//! session sweep that shares one subset arena across the whole hierarchy.
 
-use ccs_equiv::determinize::{SubsetAutomaton, SubsetId};
 use ccs_equiv::{kobs, EquivSession, Equivalence};
-use ccs_fsp::saturate::{tau_closure, SaturatedView};
-use ccs_fsp::{format, Fsp};
-use ccs_partition::Algorithm;
+use ccs_fsp::Fsp;
 use ccs_workloads::{families, random, RandomConfig};
 use proptest::prelude::*;
 
-/// The thread counts the determinism contract is checked at.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Every observable byte of an explored arena, in id order.
-#[derive(Debug, PartialEq, Eq)]
-struct ArenaSnapshot {
-    num_subsets: usize,
-    steps_computed: usize,
-    delta: Vec<u32>,
-    members: Vec<Vec<u32>>,
-    enabled: Vec<Vec<u32>>,
-    accepting: Vec<bool>,
-    refusal_classes: Vec<u32>,
-}
-
-/// Interns every state's start subset, explores with the given thread
-/// count (threshold 0: always sharded when `threads > 1`), and snapshots
-/// the arena.
-fn explore_snapshot(fsp: &Fsp, view: &SaturatedView, threads: usize) -> ArenaSnapshot {
-    let mut auto = SubsetAutomaton::new(fsp);
-    for s in fsp.state_ids() {
-        auto.start(view, s);
-    }
-    auto.explore_with_threshold(view, threads, 0);
-    let ids: Vec<SubsetId> = (0..auto.num_subsets())
-        .map(|i| u32::try_from(i).unwrap())
-        .collect();
-    ArenaSnapshot {
-        num_subsets: auto.num_subsets(),
-        steps_computed: auto.steps_computed(),
-        delta: auto.transition_table().to_vec(),
-        members: ids.iter().map(|&id| auto.subset(id)).collect(),
-        enabled: ids.iter().map(|&id| auto.enabled(id).to_vec()).collect(),
-        accepting: ids.iter().map(|&id| auto.is_accepting(id)).collect(),
-        refusal_classes: ids.iter().map(|&id| auto.refusal_class(view, id)).collect(),
-    }
-}
-
-/// Asserts that every parallel thread count reproduces the sequential
-/// arena snapshot byte for byte.
-fn assert_arena_deterministic(fsp: &Fsp, context: &str) {
-    let closure = tau_closure(fsp);
-    let view = SaturatedView::build(fsp, &closure);
-    let mut sequential = SubsetAutomaton::new(fsp);
-    for s in fsp.state_ids() {
-        sequential.start(&view, s);
-    }
-    sequential.explore(&view);
-    let baseline = explore_snapshot(fsp, &view, 1);
-    assert_eq!(
-        baseline.num_subsets,
-        sequential.num_subsets(),
-        "{context}: explore_with_threshold(1) diverged from plain explore"
-    );
-    assert_eq!(baseline.delta, sequential.transition_table());
-    for threads in THREAD_COUNTS {
-        let parallel = explore_snapshot(fsp, &view, threads);
-        assert_eq!(
-            parallel, baseline,
-            "{context}: {threads} threads diverged from sequential arena"
-        );
-    }
-}
-
-#[test]
-fn structured_families_build_identical_arenas() {
-    for n in [1usize, 3, 17] {
-        assert_arena_deterministic(&families::chain(n, "a"), &format!("chain({n})"));
-        assert_arena_deterministic(&families::cycle(n, "a"), &format!("cycle({n})"));
-        assert_arena_deterministic(&families::tau_chain(n), &format!("tau_chain({n})"));
-    }
-    assert_arena_deterministic(&families::binary_tree(4), "binary_tree(4)");
-    assert_arena_deterministic(&families::vending_machine(true), "vending(internal)");
-    assert_arena_deterministic(&families::vending_machine(false), "vending(external)");
-}
-
-#[test]
-fn blowup_and_ladder_arenas_are_deterministic() {
-    // The subset arena here is larger than the process — the interesting
-    // case: parallel rounds with many frontier rows.
-    for (n, w) in [(12usize, 3usize), (16, 6)] {
-        assert_arena_deterministic(&families::det_blowup(n, w), &format!("det_blowup({n},{w})"));
-    }
-    for (n, k) in [(23usize, 3usize), (60, 4)] {
-        assert_arena_deterministic(
-            &families::kobs_ladder(n, k),
-            &format!("kobs_ladder({n},{k})"),
-        );
-    }
-}
-
-#[test]
-fn table_ii_processes_build_identical_arenas() {
-    // a.(b + c) vs a.b + a.c — the paper's running example, τ-decorated.
-    let f = format::parse(
-        "trans p a q\ntrans q b r\ntrans q c s\ntrans u a v\ntrans u a w\n\
-         trans v b x\ntrans w c y\ntrans p tau u\naccept p q r s u v w x y",
-    )
-    .unwrap();
-    assert_arena_deterministic(&f, "table-ii union");
-}
-
 /// The one-arena `≈ₖ` engine agrees with the per-pair synchronized-BFS
-/// oracle on every level of a sweep — through the free functions, with
-/// both solvers, and through a session that shares one arena across the
-/// whole hierarchy.
+/// oracle on every level of a sweep — through the free function and
+/// through a session that shares one arena across the whole hierarchy.
 #[test]
 fn kobs_arena_sweep_matches_the_pairwise_oracle() {
     let ladder = families::kobs_ladder(2 * families::kobs_ladder_module_size(3), 3);
@@ -145,16 +27,6 @@ fn kobs_arena_sweep_matches_the_pairwise_oracle() {
                 &kobs::kobs_partition_arena(f, k),
                 &oracle,
                 "{name}: one-arena sweep diverged at k = {k}"
-            );
-            assert_eq!(
-                &kobs::kobs_partition_arena_with(
-                    f,
-                    k,
-                    Algorithm::KanellakisSmolkaParallel { threads: 2 },
-                    2,
-                ),
-                &oracle,
-                "{name}: parallel one-arena sweep diverged at k = {k}"
             );
             assert_eq!(
                 session
@@ -178,27 +50,6 @@ fn kobs_arena_sweep_matches_the_pairwise_oracle() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn random_processes_build_identical_arenas(
-        states in 1usize..24,
-        seed in 0u64..1_000,
-        tau in 0usize..2,
-    ) {
-        let config = RandomConfig {
-            tau_ratio: 0.3 * tau as f64,
-            accept_ratio: 0.6,
-            ..RandomConfig::sized(states, seed)
-        };
-        let f = random::random_fsp(&config);
-        let closure = tau_closure(&f);
-        let view = SaturatedView::build(&f, &closure);
-        let baseline = explore_snapshot(&f, &view, 1);
-        for threads in THREAD_COUNTS {
-            let parallel = explore_snapshot(&f, &view, threads);
-            prop_assert_eq!(&parallel, &baseline, "{} threads", threads);
-        }
-    }
 
     #[test]
     fn random_processes_agree_on_kobs_levels(
