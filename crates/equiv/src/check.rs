@@ -3,10 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use ccs_fsp::{Fsp, StateId};
-
-#[allow(unused_imports)] // referenced by the deprecated wrappers' docs
-use crate::session::EquivSession;
 use crate::EquivError;
 
 /// The equivalence notions of the paper's Table II (plus plain trace
@@ -76,43 +72,6 @@ impl FromStr for Equivalence {
     }
 }
 
-/// Tests whether the start states of two processes are related by the chosen
-/// equivalence.
-///
-/// Thin deprecated wrapper over the [`Query`](crate::Query) builder —
-/// prefer `Query::new(notion).between(left, right)`, which also lets you
-/// pin a solver and reuse a warm [`EquivSession`].
-///
-/// # Errors
-///
-/// See [`Query::between`](crate::Query::between).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Query::new(notion).between(left, right)`"
-)]
-pub fn equivalent(left: &Fsp, right: &Fsp, notion: Equivalence) -> Result<bool, EquivError> {
-    crate::Query::new(notion).between(left, right)
-}
-
-/// Tests whether two states of the same process are related by the chosen
-/// equivalence, through a throwaway [`EquivSession`].
-///
-/// Thin deprecated wrapper over the [`Query`](crate::Query) builder —
-/// prefer `Query::new(notion).states(fsp, p, q)`.
-///
-/// # Errors
-///
-/// See [`Query::states`](crate::Query::states).
-#[deprecated(since = "0.1.0", note = "use `Query::new(notion).states(fsp, p, q)`")]
-pub fn equivalent_states(
-    fsp: &Fsp,
-    p: StateId,
-    q: StateId,
-    notion: Equivalence,
-) -> Result<bool, EquivError> {
-    crate::Query::new(notion).states(fsp, p, q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,33 +124,6 @@ mod tests {
         for notion in ALL {
             assert!(Query::new(notion).states(&f, p, r).unwrap(), "{notion}");
         }
-    }
-
-    /// The deprecated free-function wrappers must keep answering exactly as
-    /// the builder they delegate to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_agree_with_the_builder() {
-        let merged =
-            format::parse("trans p a q\ntrans q b r\ntrans q c s\naccept p q r s").unwrap();
-        let split =
-            format::parse("trans u a v\ntrans u a w\ntrans v b x\ntrans w c y\naccept u v w x y")
-                .unwrap();
-        for notion in ALL {
-            assert_eq!(
-                equivalent(&merged, &split, notion).unwrap(),
-                Query::new(notion).between(&merged, &split).unwrap(),
-                "{notion}"
-            );
-        }
-        let p = merged.state_by_name("p").unwrap();
-        let q = merged.state_by_name("q").unwrap();
-        assert_eq!(
-            equivalent_states(&merged, p, q, Equivalence::Strong).unwrap(),
-            Query::new(Equivalence::Strong)
-                .states(&merged, p, q)
-                .unwrap()
-        );
     }
 
     #[test]

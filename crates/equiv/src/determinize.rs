@@ -691,27 +691,41 @@ impl SubsetAutomaton {
 /// Classifies all `num_states` original states under `notion` by **one**
 /// determinization and **one** partition refinement: every start subset is
 /// interned, the arena is explored to completion, the notion's per-subset
-/// classes seed a multi-class [`Dfa`], and the chosen solver refines it once.
+/// classes seed a multi-class [`Dfa`], and Paige–Tarjan refines it once.
 /// The block of a state is the block of its start subset.
 pub fn determinized_partition(
     auto: &mut SubsetAutomaton,
     view: &SaturatedView,
     notion: DetNotion,
     num_states: usize,
-    algorithm: Algorithm,
+) -> Partition {
+    classify_starts(auto, view, num_states, |auto| auto.classes(view, notion))
+}
+
+/// The one arena classification every determinized notion shares: interns
+/// the start subset of each of the `num_states` original states, explores
+/// the arena to completion, seeds a multi-class product [`Dfa`] with the
+/// per-subset `classes` (read off the explored arena), refines it once with
+/// Paige–Tarjan, and maps the result back — the block of a state is the
+/// block of its start subset.
+pub(crate) fn classify_starts(
+    auto: &mut SubsetAutomaton,
+    view: &SaturatedView,
+    num_states: usize,
+    classes: impl FnOnce(&mut SubsetAutomaton) -> Vec<u32>,
 ) -> Partition {
     let starts: Vec<SubsetId> = (0..num_states)
         .map(|s| auto.start(view, StateId::from_index(s)))
         .collect();
     auto.explore(view);
-    let classes = auto.classes(view, notion);
+    let classes = classes(auto);
     let dfa = Dfa::from_subset_automaton(
         auto.num_actions(),
         SubsetAutomaton::DEAD as usize,
         auto.transition_table(),
         &classes,
     );
-    let over_subsets = solve(&dfa.to_instance(), algorithm);
+    let over_subsets = solve(&dfa.to_instance(), Algorithm::PaigeTarjan);
     let assignment: Vec<usize> = starts
         .iter()
         .map(|&s| over_subsets.block_of(s as usize))
@@ -1023,13 +1037,7 @@ mod tests {
         let view = SaturatedView::build(&f, &closure);
         for notion in [DetNotion::Language, DetNotion::Trace, DetNotion::Failure] {
             let mut auto = SubsetAutomaton::new(&f);
-            let partition = determinized_partition(
-                &mut auto,
-                &view,
-                notion,
-                f.num_states(),
-                Algorithm::PaigeTarjan,
-            );
+            let partition = determinized_partition(&mut auto, &view, notion, f.num_states());
             for p in f.state_ids() {
                 for q in f.state_ids() {
                     let want = match notion {

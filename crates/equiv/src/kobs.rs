@@ -37,11 +37,13 @@ use std::collections::{HashSet, VecDeque};
 
 use ccs_fsp::saturate::{tau_closure, SaturatedView};
 use ccs_fsp::{ops, ActionId, Fsp, StateId};
-use ccs_partition::{solve, Algorithm, Dfa, Partition};
+use ccs_partition::Partition;
 
-use crate::determinize::{SubsetAutomaton, SubsetId};
+use crate::determinize::{self, SubsetAutomaton};
 use crate::language::{closure_of_view, subset_step_view, Subset};
+use crate::session::EquivSession;
 use crate::strong::extension_assignment;
+use crate::Equivalence;
 
 /// Computes the partition of all states into `≈ₖ`-classes with the original
 /// per-pair synchronized-BFS engine — kept as the **oracle** the one-arena
@@ -62,86 +64,34 @@ pub fn kobs_partition(fsp: &Fsp, k: usize) -> Partition {
     current
 }
 
-/// [`kobs_partition`] on the shared subset arena: one exploration, then one
-/// signature pass + one DFA refinement per level (Paige–Tarjan — see
-/// [`kobs_partition_arena_with`] to pick the solver).
-#[must_use]
-pub fn kobs_partition_arena(fsp: &Fsp, k: usize) -> Partition {
-    kobs_partition_arena_with(fsp, k, Algorithm::PaigeTarjan)
-}
-
-/// The one-arena `≈ₖ` sweep with an explicit solver: every ε-closure start
-/// subset is interned, the arena is explored **once**, and each level
-/// `1..=k` re-seeds the same subset DFA with its
-/// [`kobs_signatures`](SubsetAutomaton::kobs_signatures) and refines it.  A
-/// state's class is the block of its start subset.
+/// [`kobs_partition`] on the shared subset arena, through a throwaway
+/// [`EquivSession`]: one exploration, then one signature pass + one DFA
+/// refinement per level.
 ///
 /// Exponential worst case in the arena size, as Theorem 4.1(b) demands —
 /// but paid once per subset for the whole sweep, not once per pair per
 /// level.  Agreement with the [`kobs_partition`] oracle for `k ∈ 0..=4` is
-/// enforced by the crate's `determinize` integration suite.
+/// enforced by the root `arena_determinism` suite.
 #[must_use]
-pub fn kobs_partition_arena_with(fsp: &Fsp, k: usize, algorithm: Algorithm) -> Partition {
-    let mut current = Partition::from_assignment(&extension_assignment(fsp));
-    if k == 0 {
-        return current;
-    }
-    let closure = tau_closure(fsp);
-    let view = SaturatedView::build(fsp, &closure);
-    let mut auto = SubsetAutomaton::new(fsp);
-    let starts: Vec<SubsetId> = fsp.state_ids().map(|s| auto.start(&view, s)).collect();
-    auto.explore(&view);
-    // The transition structure is level-independent: build the DFA once and
-    // swap each level's signature classes into it.
-    let mut dfa = Dfa::from_subset_automaton(
-        auto.num_actions(),
-        SubsetAutomaton::DEAD as usize,
-        auto.transition_table(),
-        &auto.kobs_signatures(&current),
-    );
-    for level in 0..k {
-        if level > 0 {
-            dfa.set_classes(&auto.kobs_signatures(&current));
-        }
-        let over_subsets = solve(&dfa.to_instance(), algorithm);
-        let assignment: Vec<usize> = starts
-            .iter()
-            .map(|&s| over_subsets.block_of(s as usize))
-            .collect();
-        current = Partition::from_assignment(&assignment);
-    }
-    current
+pub fn kobs_partition_arena(fsp: &Fsp, k: usize) -> Partition {
+    EquivSession::for_process(fsp)
+        .classify_all(Equivalence::KObservational(k))
+        .as_ref()
+        .clone()
 }
 
-/// One `≈` level over a session's shared arena: interns the start subsets,
-/// completes the exploration (a no-op after the first level — the arena is
-/// memoized), and refines the signature-seeded subset DFA.  This is the step
-/// [`EquivSession`](crate::session::EquivSession) iterates when it memoizes
+/// One `≈` level over a session's shared arena: the subset DFA seeded with
+/// the [`kobs_signatures`](SubsetAutomaton::kobs_signatures) of level `prev`
+/// and refined once (the exploration is memoized, so only the first level
+/// explores).  This is the step [`EquivSession`] iterates when it memoizes
 /// the `≈ₖ` hierarchy bottom-up, replacing the per-pair representative scan.
 pub(crate) fn arena_level(
     auto: &mut SubsetAutomaton,
     view: &SaturatedView,
     num_states: usize,
     prev: &Partition,
-    algorithm: Algorithm,
 ) -> Partition {
-    let starts: Vec<SubsetId> = (0..num_states)
-        .map(|s| auto.start(view, StateId::from_index(s)))
-        .collect();
-    auto.explore(view);
-    let signatures = auto.kobs_signatures(prev);
-    let dfa = Dfa::from_subset_automaton(
-        auto.num_actions(),
-        SubsetAutomaton::DEAD as usize,
-        auto.transition_table(),
-        &signatures,
-    );
-    let over_subsets = solve(&dfa.to_instance(), algorithm);
-    let assignment: Vec<usize> = starts
-        .iter()
-        .map(|&s| over_subsets.block_of(s as usize))
-        .collect();
-    Partition::from_assignment(&assignment)
+    determinize::classify_starts(auto, view, num_states, |auto| auto.kobs_signatures(prev))
 }
 
 /// Tests `p ≈ₖ q` for two states of the same process.
@@ -399,12 +349,6 @@ mod tests {
             for k in 0..=4 {
                 let oracle = kobs_partition(&f, k);
                 assert_eq!(kobs_partition_arena(&f, k), oracle, "k={k}: {text}");
-                // Solver-independent.
-                assert_eq!(
-                    kobs_partition_arena_with(&f, k, Algorithm::KanellakisSmolka),
-                    oracle,
-                    "k={k} kanellakis-smolka: {text}"
-                );
             }
         }
     }

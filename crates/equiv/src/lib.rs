@@ -32,7 +32,7 @@
 //! * **[`EquivSession`]** owns one process and computes each artifact *once*
 //!   — the τ-closure, the saturated weak relation (streamed directly into
 //!   the `ccs-partition` CSR, never materialized as a second process), and
-//!   one memoized partition per `(Equivalence, Algorithm)` — then answers
+//!   one memoized partition per [`Equivalence`] — then answers
 //!   batches of pair queries ([`EquivSession::equivalent_pairs`]) or
 //!   classifies the whole state space ([`EquivSession::classify_all`]) from
 //!   that shared state.  See the [`session`] module docs for the
@@ -86,8 +86,6 @@ pub mod weak;
 pub mod witness;
 
 pub use check::Equivalence;
-#[allow(deprecated)] // the wrappers stay re-exported until callers migrate
-pub use check::{equivalent, equivalent_states};
 pub use error::EquivError;
 pub use query::Query;
 pub use session::{EquivSession, SessionDeltaOutcome};

@@ -60,7 +60,7 @@
 //! ```
 
 use ccs_fsp::saturate::SaturatedView;
-use ccs_fsp::{ops, ActionId, Fsp, StateId};
+use ccs_fsp::{ops, ActionId, Fsp};
 
 use crate::compact::narrow;
 use crate::determinize::{union, DetNotion, PairCache, SubsetAutomaton, SubsetId};
@@ -271,20 +271,6 @@ pub fn compare(left: &Fsp, right: &Fsp, notion: Equivalence) -> Result<OtfOutcom
     let union = ops::disjoint_union(left, right);
     let (p, q) = ops::union_starts(&union, left, right);
     let session = EquivSession::new(union.fsp);
-    session.on_the_fly(notion, p, q)
-}
-
-/// [`compare`] for two states of one process, sharing the caller's session.
-///
-/// # Errors
-///
-/// [`EquivError::ModelMismatch`] if `notion` is not determinizable.
-pub fn compare_states(
-    session: &EquivSession,
-    notion: Equivalence,
-    p: StateId,
-    q: StateId,
-) -> Result<OtfOutcome, EquivError> {
     session.on_the_fly(notion, p, q)
 }
 

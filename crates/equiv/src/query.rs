@@ -1,24 +1,19 @@
 //! [`Query`] — one builder for every equivalence question.
 //!
-//! Historically the crate grew a free function per question shape
-//! (`check::equivalent`, `check::equivalent_states`) plus `_with` variants
-//! per notion module for naming an algorithm (`weak::weak_partition_with`,
-//! `strong::strong_partition_with`, …).  The builder unifies them: pick a
-//! notion, optionally pick a solver, then run the query against either a
-//! long-lived [`EquivSession`] or one-shot process arguments.
+//! Pick a notion, then run the query against either a long-lived
+//! [`EquivSession`] or one-shot process arguments.  Every executor answers
+//! through the session's single-flight partition memo (or, for small
+//! batches of the PSPACE notions, its pair cache).
 //!
 //! ```
 //! use ccs_equiv::{EquivSession, Equivalence, Query};
-//! use ccs_partition::Algorithm;
 //! use ccs_fsp::format;
 //!
 //! let f = format::parse("trans p tau q\ntrans q a r\ntrans s a t")?;
 //! let session = EquivSession::for_process(&f);
 //!
-//! // Whole-space classification, solver pinned:
-//! let classes = Query::new(Equivalence::Observational)
-//!     .algorithm(Algorithm::KanellakisSmolka)
-//!     .run(&session)?;
+//! // Whole-space classification:
+//! let classes = Query::new(Equivalence::Observational).run(&session)?;
 //! assert_eq!(classes.num_blocks(), 2); // {p, q, s} and the dead {r, t}
 //!
 //! // A single pair on the same warm session:
@@ -31,61 +26,36 @@
 use std::sync::Arc;
 
 use ccs_fsp::{ops, Fsp, StateId};
-use ccs_partition::{Algorithm, Partition};
+use ccs_partition::Partition;
 
 use crate::check::Equivalence;
 use crate::session::EquivSession;
 use crate::EquivError;
 
-/// A reusable description of an equivalence question: the notion plus an
-/// optional solver override.
+/// A reusable description of an equivalence question: the notion.
 ///
-/// Construct with [`Query::new`], refine with [`Query::algorithm`], then run
-/// one of the executors:
+/// Construct with [`Query::new`], then run one of the executors:
 ///
 /// * [`Query::run`] — classify the whole state space of a session.
 /// * [`Query::pair`] / [`Query::pairs`] — pair queries on a session.
 /// * [`Query::between`] / [`Query::states`] — one-shot questions that build
-///   a throwaway session (the old `check::equivalent*` behaviour).
+///   a throwaway session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Query {
     notion: Equivalence,
-    algorithm: Option<Algorithm>,
 }
 
 impl Query {
-    /// A query for `notion` with the executing session's default solver.
+    /// A query for `notion`.
     #[must_use]
     pub fn new(notion: Equivalence) -> Self {
-        Query {
-            notion,
-            algorithm: None,
-        }
-    }
-
-    /// Pins the partition-refinement solver (where one applies; the
-    /// pairwise PSPACE notions are algorithm-independent).
-    #[must_use]
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = Some(algorithm);
-        self
+        Query { notion }
     }
 
     /// The notion this query asks about.
     #[must_use]
     pub fn notion(&self) -> Equivalence {
         self.notion
-    }
-
-    /// The pinned solver, if any.
-    #[must_use]
-    pub fn pinned_algorithm(&self) -> Option<Algorithm> {
-        self.algorithm
-    }
-
-    fn algorithm_for(&self, session: &EquivSession) -> Algorithm {
-        self.algorithm
-            .unwrap_or_else(|| session.default_algorithm())
     }
 
     /// Classifies the whole state space of `session` under the query's
@@ -98,7 +68,7 @@ impl Query {
     /// deterministic fast path of [`deterministic`](crate::deterministic)
     /// already has them).
     pub fn run(&self, session: &EquivSession) -> Result<Arc<Partition>, EquivError> {
-        Ok(session.partition_with(self.notion, self.algorithm_for(session)))
+        Ok(session.classify_all(self.notion))
     }
 
     /// Tests whether two states of `session`'s process are related.
@@ -107,15 +77,7 @@ impl Query {
     ///
     /// See [`Query::run`].
     pub fn pair(&self, session: &EquivSession, p: StateId, q: StateId) -> Result<bool, EquivError> {
-        match self.algorithm {
-            // The session's pair path already routes through its default
-            // algorithm; a pinned solver forces the memoized partition key
-            // for that solver instead.
-            None => Ok(session.equivalent_states(p, q, self.notion)),
-            Some(algorithm) => Ok(session
-                .partition_with(self.notion, algorithm)
-                .same_block(p.index(), q.index())),
-        }
+        Ok(session.equivalent_states(p, q, self.notion))
     }
 
     /// Answers a batch of pair queries from one refinement (see
@@ -130,16 +92,7 @@ impl Query {
         session: &EquivSession,
         pairs: &[(StateId, StateId)],
     ) -> Result<Vec<bool>, EquivError> {
-        match self.algorithm {
-            None => Ok(session.equivalent_pairs(self.notion, pairs)),
-            Some(algorithm) => {
-                let partition = session.partition_with(self.notion, algorithm);
-                Ok(pairs
-                    .iter()
-                    .map(|&(p, q)| partition.same_block(p.index(), q.index()))
-                    .collect())
-            }
-        }
+        Ok(session.equivalent_pairs(self.notion, pairs))
     }
 
     /// One-shot: whether the start states of two processes are related.
@@ -202,26 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_algorithm_agrees_with_default_and_keys_the_cache() {
-        let (merged, split) = classic_pair();
-        let union = ccs_fsp::ops::disjoint_union(&merged, &split);
-        let session = EquivSession::new(union.fsp);
-        let default = Query::new(Equivalence::Observational)
-            .run(&session)
-            .unwrap();
-        for alg in Algorithm::ALL {
-            let pinned = Query::new(Equivalence::Observational)
-                .algorithm(alg)
-                .run(&session)
-                .unwrap();
-            assert_eq!(pinned.as_ref(), default.as_ref(), "{alg}");
-        }
-        // One cache entry per distinct refinement-solver key (the default
-        // Paige–Tarjan run shares its entry with the pinned PT run).
-        assert_eq!(session.cached_partitions(), Algorithm::ALL.len());
-    }
-
-    #[test]
     fn pair_and_pairs_agree_with_run() {
         let (merged, split) = classic_pair();
         let union = ccs_fsp::ops::disjoint_union(&merged, &split);
@@ -250,9 +183,10 @@ mod tests {
 
     #[test]
     fn accessors_round_trip() {
-        let q = Query::new(Equivalence::Strong).algorithm(Algorithm::KanellakisSmolka);
-        assert_eq!(q.notion(), Equivalence::Strong);
-        assert_eq!(q.pinned_algorithm(), Some(Algorithm::KanellakisSmolka));
-        assert_eq!(Query::new(Equivalence::Trace).pinned_algorithm(), None);
+        assert_eq!(
+            Query::new(Equivalence::Strong).notion(),
+            Equivalence::Strong
+        );
+        assert_eq!(Query::new(Equivalence::Trace).notion(), Equivalence::Trace);
     }
 }

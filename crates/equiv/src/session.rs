@@ -15,7 +15,7 @@
 //!  SaturatedView  weak edges ──► ccs-partition CSR (weak Instance)
 //!        │      │                      │
 //!        │  SubsetAutomaton     one Partition per
-//!        │   (memoized subset  (Equivalence, Algorithm)
+//!        │   (memoized subset   Equivalence — the
 //!        │    arena + PairCache)  memoization key
 //!        │      │
 //!        │  product DFA ──► one refinement classifies
@@ -51,12 +51,19 @@
 //! [`Arc`] across worker threads.  This is what the `ccs-server` crate
 //! serves concurrent clients from: one resident session, many threads.
 //!
-//! Partition memoization is **single-flight**: each `(notion, algorithm)`
-//! key owns one inner `OnceLock`, so when `m` threads race to classify the
-//! same notion, exactly one runs the refinement and the other `m − 1` block
-//! on the lock and reuse its result.  [`EquivSession::refinements_run`]
+//! Partition memoization is **single-flight**: each notion owns one inner
+//! `OnceLock`, so when `m` threads race to classify the same notion, exactly
+//! one runs the refinement and the other `m − 1` block on the lock and
+//! reuse its result.  This memo is the only coalescer in the stack — the
+//! `ccs-server` answers its `pair`, `classify` and `partition` ops straight
+//! from [`EquivSession::classify_all`].  [`EquivSession::refinements_run`]
 //! counts the refinements that actually executed — the counter the server's
-//! coalescing stats (and the concurrency tests) observe.
+//! `stats` op (and the concurrency tests) observe.
+//!
+//! Every refinement runs Paige–Tarjan.  The other solvers of
+//! `ccs-partition` stay as independent references: tests run them over the
+//! session's own instances ([`EquivSession::strong_instance`],
+//! [`EquivSession::weak_instance`]) through [`ccs_partition::solve`].
 //!
 //! # Amortized cost
 //!
@@ -169,9 +176,9 @@ pub struct EquivSession {
     /// plus the per-notion pair caches (built lazily; serves
     /// Language/Trace/Failure classification and pair queries alike).
     det: Mutex<DetState>,
-    /// Single-flight memo: one inner `OnceLock` per key, so concurrent
+    /// Single-flight memo: one inner `OnceLock` per notion, so concurrent
     /// queries for the same partition run exactly one refinement.
-    partitions: Mutex<HashMap<(Equivalence, Algorithm), PartitionCell>>,
+    partitions: Mutex<HashMap<Equivalence, PartitionCell>>,
     /// Number of partition computations that actually executed (cache
     /// misses) — the coalescing evidence read by `refinements_run`.
     refinements: AtomicUsize,
@@ -179,9 +186,6 @@ pub struct EquivSession {
     /// one across τ-free [`EquivSession::apply_delta`] batches — the
     /// counter the mutation-path retention tests observe.
     closure_builds: AtomicUsize,
-    /// Solver used by [`EquivSession::classify_all`] and the batched APIs
-    /// when the caller does not name one.
-    default_algorithm: Algorithm,
 }
 
 impl EquivSession {
@@ -199,32 +203,7 @@ impl EquivSession {
             partitions: Mutex::new(HashMap::new()),
             refinements: AtomicUsize::new(0),
             closure_builds: AtomicUsize::new(0),
-            default_algorithm: Algorithm::PaigeTarjan,
         }
-    }
-
-    /// Creates a session owning `fsp` whose default solver is `algorithm` —
-    /// every [`EquivSession::classify_all`] / batched query then runs its
-    /// refinement with it.
-    #[must_use]
-    pub fn with_algorithm(fsp: Fsp, algorithm: Algorithm) -> Self {
-        let mut session = EquivSession::new(fsp);
-        session.default_algorithm = algorithm;
-        session
-    }
-
-    /// Changes the default solver for subsequent queries.  Already-memoized
-    /// partitions stay valid (the cache is keyed by algorithm; every solver
-    /// produces the same canonical partition).  Takes `&mut self`: pick the
-    /// default before sharing the session across threads.
-    pub fn set_default_algorithm(&mut self, algorithm: Algorithm) {
-        self.default_algorithm = algorithm;
-    }
-
-    /// The solver used when a query does not name one.
-    #[must_use]
-    pub fn default_algorithm(&self) -> Algorithm {
-        self.default_algorithm
     }
 
     /// Creates a session over a clone of `fsp` — the delegation path of the
@@ -347,44 +326,33 @@ impl EquivSession {
         self.ensure_limited(usize::MAX)
     }
 
-    /// Only [`Equivalence::Strong`] and [`Equivalence::Observational`] go
-    /// through a refinement solver; every other notion's partition is
-    /// algorithm-independent, so they share one cache entry.
-    fn cache_key(notion: Equivalence, algorithm: Algorithm) -> (Equivalence, Algorithm) {
-        match notion {
-            Equivalence::Strong | Equivalence::Observational => (notion, algorithm),
-            _ => (notion, Algorithm::PaigeTarjan),
-        }
-    }
-
-    /// Size of the session's shared subset arena (building the automaton if
-    /// it does not exist yet).  Exposed for diagnostics — e.g. in the
-    /// report's DET table.
+    /// Size of the session's shared subset arena: 0 until some PSPACE query
+    /// builds it.  A read-only diagnostic — e.g. for the report's DET table.
+    #[must_use]
     pub fn subset_arena_size(&self) -> usize {
-        let view = self.saturated_view();
-        let mut det = self.det.lock().expect("det lock poisoned");
-        let _ = view;
+        let det = self.det.lock().expect("det lock poisoned");
         det.automaton
-            .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp))
-            .num_subsets()
+            .as_ref()
+            .map_or(0, SubsetAutomaton::num_subsets)
     }
 
     /// Number of lazily computed subset transitions so far (diagnostic
-    /// companion of [`EquivSession::subset_arena_size`]).
+    /// companion of [`EquivSession::subset_arena_size`]; 0 without an
+    /// arena).
+    #[must_use]
     pub fn subset_steps_computed(&self) -> usize {
-        let mut det = self.det.lock().expect("det lock poisoned");
+        let det = self.det.lock().expect("det lock poisoned");
         det.automaton
-            .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp))
-            .steps_computed()
+            .as_ref()
+            .map_or(0, SubsetAutomaton::steps_computed)
     }
 
-    /// The partition of all states into `notion`-equivalence classes, using
-    /// the chosen refinement algorithm where one applies, memoized per
-    /// `(notion, algorithm)`.
+    /// The partition of *all* states into `notion`-equivalence classes,
+    /// memoized per notion.  Refinement-backed notions run Paige–Tarjan.
     ///
-    /// Concurrent callers racing on the same key are **coalesced**: one of
-    /// them runs the computation, the rest block and share its result (see
-    /// [`EquivSession::refinements_run`]).
+    /// Concurrent callers racing on the same notion are **coalesced**: one
+    /// of them runs the computation, the rest block and share its result
+    /// (see [`EquivSession::refinements_run`]).
     ///
     /// The PSPACE-complete notions `Language`, `Trace` and `Failure` go
     /// through the shared [determinization layer](crate::determinize): all
@@ -398,41 +366,27 @@ impl EquivSession {
     /// Expect exponential worst-case behaviour in the arena size, exactly
     /// as Theorem 4.1(b)/5.1 demand — but paid once per subset, not once
     /// per pair (or per pair per level).
-    pub fn partition_with(&self, notion: Equivalence, algorithm: Algorithm) -> Arc<Partition> {
-        let key = Self::cache_key(notion, algorithm);
+    pub fn classify_all(&self, notion: Equivalence) -> Arc<Partition> {
         let cell = {
             let mut map = self.partitions.lock().expect("partitions lock poisoned");
-            Arc::clone(map.entry(key).or_default())
+            Arc::clone(map.entry(notion).or_default())
         };
         Arc::clone(cell.get_or_init(|| {
             self.refinements.fetch_add(1, Ordering::Relaxed);
-            Arc::new(self.compute_partition(notion, algorithm))
+            Arc::new(self.compute_partition(notion))
         }))
     }
 
-    /// [`EquivSession::partition_with`] under the session's default
-    /// algorithm (Paige–Tarjan unless reconfigured): the partition of *all*
-    /// states into `notion`-classes.
-    pub fn classify_all(&self, notion: Equivalence) -> Arc<Partition> {
-        self.partition_with(notion, self.default_algorithm)
-    }
-
-    /// The memoized partition for `key`, if some call already computed it.
-    fn cached_partition(
-        &self,
-        notion: Equivalence,
-        algorithm: Algorithm,
-    ) -> Option<Arc<Partition>> {
+    /// The memoized partition for `notion`, if some call already computed it.
+    fn cached_partition(&self, notion: Equivalence) -> Option<Arc<Partition>> {
         let map = self.partitions.lock().expect("partitions lock poisoned");
-        map.get(&Self::cache_key(notion, algorithm))
-            .and_then(|cell| cell.get())
-            .cloned()
+        map.get(&notion).and_then(|cell| cell.get()).cloned()
     }
 
-    fn compute_partition(&self, notion: Equivalence, algorithm: Algorithm) -> Partition {
+    fn compute_partition(&self, notion: Equivalence) -> Partition {
         match notion {
-            Equivalence::Strong => solve(self.strong_instance(), algorithm),
-            Equivalence::Observational => solve(self.weak_instance(), algorithm),
+            Equivalence::Strong => solve(self.strong_instance(), Algorithm::PaigeTarjan),
+            Equivalence::Observational => solve(self.weak_instance(), Algorithm::PaigeTarjan),
             Equivalence::Limited(k) => self.ensure_limited(k).level(k).clone(),
             Equivalence::KObservational(k) => {
                 if k == 0 {
@@ -444,13 +398,13 @@ impl EquivSession {
                 // exploration is memoized, so a k = 1..K sweep explores
                 // once and every further level is one signature pass plus
                 // one refinement of the re-seeded subset DFA.
-                let prev = self.partition_with(Equivalence::KObservational(k - 1), algorithm);
+                let prev = self.classify_all(Equivalence::KObservational(k - 1));
                 let view = self.saturated_view();
                 let mut state = self.det.lock().expect("det lock poisoned");
                 let auto = state
                     .automaton
                     .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-                kobs::arena_level(auto, view, self.fsp.num_states(), &prev, algorithm)
+                kobs::arena_level(auto, view, self.fsp.num_states(), &prev)
             }
             Equivalence::Language | Equivalence::Trace | Equivalence::Failure => {
                 let det = DetNotion::of(notion).expect("matched a determinizable notion");
@@ -459,13 +413,7 @@ impl EquivSession {
                 let auto = state
                     .automaton
                     .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-                determinize::determinized_partition(
-                    auto,
-                    view,
-                    det,
-                    self.fsp.num_states(),
-                    algorithm,
-                )
+                determinize::determinized_partition(auto, view, det, self.fsp.num_states())
             }
         }
     }
@@ -603,7 +551,7 @@ impl EquivSession {
     pub fn equivalent_states(&self, p: StateId, q: StateId, notion: Equivalence) -> bool {
         match DetNotion::of(notion) {
             Some(det) => {
-                if let Some(partition) = self.cached_partition(notion, self.default_algorithm) {
+                if let Some(partition) = self.cached_partition(notion) {
                     return partition.same_block(p.index(), q.index());
                 }
                 self.det_pair_equivalent(det, p, q)
@@ -623,9 +571,7 @@ impl EquivSession {
     /// state and would dwarf the batch; the per-pair searches still share
     /// the session's one subset arena and memoize their verdicts.
     pub fn equivalent_pairs(&self, notion: Equivalence, pairs: &[(StateId, StateId)]) -> Vec<bool> {
-        let cached = self
-            .cached_partition(notion, self.default_algorithm)
-            .is_some();
+        let cached = self.cached_partition(notion).is_some();
         if let Some(det) = DetNotion::of(notion) {
             if !cached && pairs.len() < self.fsp.num_states() {
                 return pairs
@@ -649,7 +595,7 @@ impl EquivSession {
     }
 
     /// Number of partition computations that actually executed, across all
-    /// `(notion, algorithm)` keys.  Because memoization is single-flight,
+    /// notions.  Because memoization is single-flight,
     /// `m` concurrent queries against one key bump this by exactly one —
     /// the coalescing evidence the `ccs-server` stats (and the concurrent
     /// integration tests) report.
@@ -764,7 +710,7 @@ impl EquivSession {
                 .get_mut()
                 .expect("partitions lock poisoned")
                 .iter()
-                .any(|((notion, _), cell)| {
+                .any(|(notion, cell)| {
                     !matches!(notion, Equivalence::Strong) && cell.get().is_some()
                 });
         // Per-candidate weak successor rows (one Vec per action), snapshotted
@@ -816,7 +762,6 @@ impl EquivSession {
         let strong_adds: Vec<(usize, usize, usize)> = eff_added.iter().map(to_strong).collect();
         let strong_removes: Vec<(usize, usize, usize)> =
             eff_removed.iter().map(to_strong).collect();
-        let threshold = incremental::default_threshold();
         let strong_updated = if let Some(mut inst) = self.strong_instance.take() {
             let fits = strong_adds
                 .iter()
@@ -925,7 +870,7 @@ impl EquivSession {
         // is single-flight per cell, and `&mut self` guarantees no reader.
         let map = self.partitions.get_mut().expect("partitions lock poisoned");
         let old_cells = std::mem::take(map);
-        for ((notion, alg), cell) in old_cells {
+        for (notion, cell) in old_cells {
             let Some(prev) = cell.get().cloned() else {
                 continue; // never computed: drop the empty cell
             };
@@ -938,8 +883,8 @@ impl EquivSession {
                             &prev,
                             &strong_adds,
                             &strong_removes,
-                            alg,
-                            threshold,
+                            Algorithm::PaigeTarjan,
+                            incremental::DEFAULT_THRESHOLD,
                         );
                         Some(next)
                     } else {
@@ -949,12 +894,12 @@ impl EquivSession {
                 // Level 0 of `≈ₖ` is the extension-set partition — edge
                 // edits cannot touch it.
                 Equivalence::KObservational(0) => {
-                    map.insert((notion, alg), cell);
+                    map.insert(notion, cell);
                     continue;
                 }
                 Equivalence::Observational => match weak_fate {
                     WeakFate::Valid => {
-                        map.insert((notion, alg), cell);
+                        map.insert(notion, cell);
                         continue;
                     }
                     WeakFate::Updated if self.weak_instance.get().is_some() => {
@@ -964,8 +909,8 @@ impl EquivSession {
                             &prev,
                             &weak_adds,
                             &weak_removes,
-                            alg,
-                            threshold,
+                            Algorithm::PaigeTarjan,
+                            incremental::DEFAULT_THRESHOLD,
                         );
                         Some(next)
                     }
@@ -973,7 +918,7 @@ impl EquivSession {
                 },
                 _ => match weak_fate {
                     WeakFate::Valid => {
-                        map.insert((notion, alg), cell);
+                        map.insert(notion, cell);
                         continue;
                     }
                     _ => None,
@@ -984,7 +929,7 @@ impl EquivSession {
                 fresh
                     .set(Arc::new(next))
                     .expect("freshly created partition cell");
-                map.insert((notion, alg), fresh);
+                map.insert(notion, fresh);
                 outcome.partitions_delta_refined += 1;
             }
         }
@@ -1111,7 +1056,7 @@ mod tests {
         assert_shareable::<Arc<EquivSession>>();
     }
 
-    /// Eight threads racing on the same `(notion, algorithm)` key must get
+    /// Eight threads racing on the same notion must get
     /// byte-identical answers from exactly ONE refinement.
     #[test]
     fn concurrent_queries_coalesce_into_one_refinement() {
@@ -1162,8 +1107,8 @@ mod tests {
         )
         .unwrap();
         let session = EquivSession::for_process(&f);
+        let from_session = session.classify_all(Equivalence::Observational);
         for alg in Algorithm::ALL {
-            let from_session = session.partition_with(Equivalence::Observational, alg);
             assert_eq!(
                 from_session.as_ref(),
                 weak::weak_partition_with(&f, alg).partition(),
@@ -1343,6 +1288,19 @@ mod tests {
                 "level {k}"
             );
         }
+    }
+
+    /// The arena diagnostics only read: on a fresh session they report 0
+    /// and neither build an arena nor a saturated view.
+    #[test]
+    fn arena_diagnostics_leave_a_fresh_session_untouched() {
+        let f = format::parse("trans p tau q\ntrans q a r\ntrans s a t").unwrap();
+        let session = EquivSession::for_process(&f);
+        let fresh = session.approx_resident_bytes();
+        assert_eq!(session.subset_arena_size(), 0);
+        assert_eq!(session.subset_steps_computed(), 0);
+        assert_eq!(session.approx_resident_bytes(), fresh);
+        assert_eq!(session.closure_builds(), 0);
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //! uses matrix products for the closure).
 
 use ccs_fsp::{ops, Fsp, StateId};
-use ccs_partition::{Algorithm, Partition};
+use ccs_partition::{solve, Algorithm, Partition};
 
 use crate::session::EquivSession;
-use crate::Equivalence;
 
 /// The partition of a process's states into observational-equivalence
 /// classes.
@@ -55,20 +54,18 @@ impl WeakPartition {
 }
 
 /// Computes the observational-equivalence partition with the chosen
-/// partition-refinement algorithm.
+/// partition-refinement algorithm — the reference path the tests hold
+/// every solver to.
 ///
-/// Delegates to a throwaway [`EquivSession`], which streams the weak
-/// transition relation straight into the partition core's CSR builder — the
-/// classical saturated process of [`ccs_fsp::saturate::saturate`] is never
-/// materialized on this path.
+/// Runs `algorithm` over the weak instance of a throwaway [`EquivSession`],
+/// which streams the weak transition relation straight into the partition
+/// core's CSR builder — the classical saturated process of
+/// [`ccs_fsp::saturate::saturate`] is never materialized on this path.
 #[must_use]
 pub fn weak_partition_with(fsp: &Fsp, algorithm: Algorithm) -> WeakPartition {
     let session = EquivSession::for_process(fsp);
     WeakPartition {
-        partition: session
-            .partition_with(Equivalence::Observational, algorithm)
-            .as_ref()
-            .clone(),
+        partition: solve(session.weak_instance(), algorithm),
     }
 }
 

@@ -4,14 +4,15 @@
 //! per-pair subset-construction path kept alive as
 //! `EquivSession::representative_scan_partition` — across structured
 //! workload families (including the exponential-blowup family), random
-//! processes, and every refinement solver.  The one-arena `≈ₖ` engine's
-//! oracle tests live in the root `tests/arena_determinism.rs`.
+//! processes, and (on the product DFA) every refinement solver.  The
+//! one-arena `≈ₖ` engine's oracle tests live in the root
+//! `tests/arena_determinism.rs`.
 
 use ccs_equiv::determinize::{determinized_partition, DetNotion, SubsetAutomaton, SubsetRepr};
 use ccs_equiv::{EquivSession, Equivalence};
 use ccs_fsp::saturate::{tau_closure, SaturatedView};
 use ccs_fsp::Fsp;
-use ccs_partition::Algorithm;
+use ccs_partition::{solve, Algorithm, Dfa, Partition};
 use ccs_workloads::{families, random, RandomConfig};
 use proptest::prelude::*;
 
@@ -50,18 +51,36 @@ fn determinized_classification_matches_oracle_on_families() {
 
 /// Every refinement solver, run over the product DFA of the shared subset
 /// automaton, yields the same (canonical) partition — and it is the
-/// oracle's.
+/// oracle's, which the session's Paige–Tarjan classification also matches.
 #[test]
 fn every_solver_classifies_the_blowup_family_identically() {
     let fsp = families::det_blowup(14, 3);
-    let oracle_session = EquivSession::for_process(&fsp);
+    let closure = tau_closure(&fsp);
+    let view = SaturatedView::build(&fsp, &closure);
+    let session = EquivSession::for_process(&fsp);
     for notion in NOTIONS {
-        let oracle = oracle_session.representative_scan_partition(notion);
+        let oracle = session.representative_scan_partition(notion);
+        assert_eq!(session.classify_all(notion).as_ref(), &oracle, "{notion}");
+        let mut auto = SubsetAutomaton::new(&fsp);
+        let starts: Vec<u32> = fsp.state_ids().map(|s| auto.start(&view, s)).collect();
+        auto.explore(&view);
+        let det = DetNotion::of(notion).unwrap();
+        let classes = auto.classes(&view, det);
+        let dfa = Dfa::from_subset_automaton(
+            auto.num_actions(),
+            SubsetAutomaton::DEAD as usize,
+            auto.transition_table(),
+            &classes,
+        );
         for alg in Algorithm::ALL {
-            let session = EquivSession::for_process(&fsp);
+            let over_subsets = solve(&dfa.to_instance(), alg);
+            let assignment: Vec<usize> = starts
+                .iter()
+                .map(|&s| over_subsets.block_of(s as usize))
+                .collect();
             assert_eq!(
-                session.partition_with(notion, alg).as_ref(),
-                &oracle,
+                Partition::from_assignment(&assignment),
+                oracle,
                 "{notion} via {alg}"
             );
         }
@@ -99,20 +118,8 @@ fn assert_reprs_agree(fsp: &Fsp, label: &str) {
         let mut d = SubsetAutomaton::with_repr(fsp, SubsetRepr::Dense);
         let mut s = SubsetAutomaton::with_repr(fsp, SubsetRepr::Sparse);
         assert_eq!(
-            determinized_partition(
-                &mut d,
-                &view,
-                notion,
-                fsp.num_states(),
-                Algorithm::PaigeTarjan
-            ),
-            determinized_partition(
-                &mut s,
-                &view,
-                notion,
-                fsp.num_states(),
-                Algorithm::PaigeTarjan
-            ),
+            determinized_partition(&mut d, &view, notion, fsp.num_states()),
+            determinized_partition(&mut s, &view, notion, fsp.num_states()),
             "{label}: {notion:?}"
         );
     }

@@ -5,7 +5,7 @@
 
 use ccs_equiv::{failures, strong, weak, EquivSession, Equivalence};
 use ccs_fsp::{Fsp, Label, StateId};
-use ccs_partition::Algorithm;
+use ccs_partition::{solve, Algorithm};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -124,18 +124,24 @@ proptest! {
         }
     }
 
-    /// The session's observational partition is algorithm-independent and
-    /// matches the *pre-refactor* pipeline — explicit saturation into a
-    /// second process, then strong refinement — which does not share any
-    /// code with the streamed session path, so this is an independent
-    /// oracle rather than a tautology.
+    /// The session's observational partition matches every solver run
+    /// over its own weak instance, and the *pre-refactor* pipeline —
+    /// explicit saturation into a second process, then strong refinement —
+    /// which does not share any code with the streamed session path, so
+    /// this is an independent oracle rather than a tautology.
     #[test]
     fn observational_partition_per_algorithm(raw in process_strategy()) {
         let fsp = build(&raw);
         let saturated = ccs_fsp::saturate::saturate(&fsp);
         let session = EquivSession::for_process(&fsp);
+        let from_session = session.classify_all(Equivalence::Observational);
         for alg in Algorithm::ALL {
-            let from_session = session.partition_with(Equivalence::Observational, alg);
+            prop_assert_eq!(
+                from_session.as_ref(),
+                &solve(session.weak_instance(), alg),
+                "weak instance, {}",
+                alg
+            );
             let legacy = strong::strong_partition_with(&saturated.fsp, alg);
             prop_assert_eq!(from_session.as_ref(), legacy.partition(), "legacy oracle, {}", alg);
             let free = weak::weak_partition_with(&fsp, alg);

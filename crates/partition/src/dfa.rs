@@ -99,25 +99,6 @@ impl Dfa {
         self.set_class(state, usize::from(accepting));
     }
 
-    /// Replaces every state's output class in one call, keeping the
-    /// transition structure.  This is the level-sweep path of the `ccs-equiv`
-    /// k-observational engine: the subset arena's transition table is
-    /// level-independent, so each `≈ₖ₊₁` refinement re-seeds the same [`Dfa`]
-    /// with the next level's signature classes instead of rebuilding it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes.len() != num_states`.
-    pub fn set_classes(&mut self, classes: &[u32]) {
-        assert_eq!(
-            classes.len(),
-            self.num_states(),
-            "one output class per state"
-        );
-        self.class.clear();
-        self.class.extend_from_slice(classes);
-    }
-
     /// The unique successor `δ(state, label)`.
     #[must_use]
     pub fn step(&self, state: usize, label: usize) -> usize {
@@ -302,22 +283,6 @@ mod tests {
     #[should_panic(expected = "must be dense")]
     fn from_subset_automaton_rejects_ragged_tables() {
         let _ = Dfa::from_subset_automaton(2, 0, &[0, 1, 1], &[0, 1]);
-    }
-
-    #[test]
-    fn set_classes_reseeds_without_touching_transitions() {
-        let mut d = even_ones();
-        d.set_classes(&[3, 7]);
-        assert_eq!(d.classes(), &[3, 7]);
-        assert_eq!(d.class(1), 7);
-        assert_eq!(d.step(0, 1), 1); // transitions untouched
-        assert_eq!(d.to_instance().initial_blocks(), &[3, 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one output class per state")]
-    fn set_classes_rejects_wrong_arity() {
-        even_ones().set_classes(&[1]);
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //! block-level edges) and lifting gives `P*` at a cost that shrinks with
 //! the solution size instead of the graph size.  A whole-graph rebuild
 //! remains the safety net: batches touching more than a
-//! [`CCS_DELTA_THRESHOLD`](DELTA_THRESHOLD_ENV) fraction of the ground set
-//! skip the incremental machinery entirely.
+//! [`DEFAULT_THRESHOLD`] fraction of the ground set skip the incremental
+//! machinery entirely.
 //!
 //! Every path is unconditionally exact — the tests (and the report's DELTA
 //! table) assert block-for-block equality with a from-scratch solve after
@@ -63,24 +63,12 @@ use std::collections::HashMap;
 use crate::ids::{self, StateId};
 use crate::{solve, Algorithm, Instance, Partition};
 
-/// Environment variable naming the touched-state fraction above which
-/// [`DeltaRefiner`] abandons delta-refinement for a whole-graph rebuild.
-pub const DELTA_THRESHOLD_ENV: &str = "CCS_DELTA_THRESHOLD";
-
-/// The touched-state-fraction rebuild threshold: `CCS_DELTA_THRESHOLD` when
-/// set to a finite non-negative number, else `0.25`.
+/// The touched-state-fraction rebuild threshold.
 ///
 /// A batch whose effective edits mention more than `threshold · n` distinct
 /// endpoints takes the [`DeltaPath::FullRebuild`] path — at that size the
 /// seeded worklist degenerates toward a from-scratch refinement anyway.
-#[must_use]
-pub fn default_threshold() -> f64 {
-    std::env::var(DELTA_THRESHOLD_ENV)
-        .ok()
-        .and_then(|raw| raw.trim().parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .unwrap_or(0.25)
-}
+pub const DEFAULT_THRESHOLD: f64 = 0.25;
 
 /// An edge batch: `removals` are applied first, then `additions`, so an
 /// edge named on both sides ends up present.  Duplicates, already-present
@@ -196,10 +184,10 @@ pub struct DeltaRefiner {
 
 impl DeltaRefiner {
     /// Solves `instance` once and stands ready to maintain the solution,
-    /// with the rebuild threshold from [`default_threshold`].
+    /// with the [`DEFAULT_THRESHOLD`] rebuild threshold.
     #[must_use]
     pub fn new(instance: Instance, algorithm: Algorithm) -> Self {
-        DeltaRefiner::with_threshold(instance, algorithm, default_threshold())
+        DeltaRefiner::with_threshold(instance, algorithm, DEFAULT_THRESHOLD)
     }
 
     /// As [`DeltaRefiner::new`] with an explicit touched-fraction rebuild
@@ -873,21 +861,6 @@ mod tests {
         assert_matches_oracle(&refiner);
         assert!(refiner.partition().same_block(0, 1));
         assert!(!refiner.partition().same_block(0, 3));
-    }
-
-    #[test]
-    fn threshold_env_knob_parses_and_defaults() {
-        // No concurrent test in this crate reads the knob (all construct
-        // with explicit thresholds), so mutating the env here is safe.
-        std::env::remove_var(DELTA_THRESHOLD_ENV);
-        assert!((default_threshold() - 0.25).abs() < 1e-9);
-        std::env::set_var(DELTA_THRESHOLD_ENV, "0.5");
-        assert!((default_threshold() - 0.5).abs() < 1e-9);
-        std::env::set_var(DELTA_THRESHOLD_ENV, "not-a-number");
-        assert!((default_threshold() - 0.25).abs() < 1e-9);
-        std::env::set_var(DELTA_THRESHOLD_ENV, "-1");
-        assert!((default_threshold() - 0.25).abs() < 1e-9);
-        std::env::remove_var(DELTA_THRESHOLD_ENV);
     }
 
     #[test]

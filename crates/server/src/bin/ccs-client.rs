@@ -58,15 +58,12 @@ fn stats(addr: &str) -> Result<(), ClientError> {
     let mut client = Client::connect(addr)?;
     let stats = client.stats()?;
     println!(
-        "sessions={} resident_bytes={} evictions={} refinements={} \
-         pair_queries={} batches={} peak_batch={}",
+        "sessions={} resident_bytes={} evictions={} refinements={} pair_queries={}",
         stats.sessions,
         stats.resident_bytes,
         stats.evictions,
         stats.refinements,
         stats.pair_queries,
-        stats.batches,
-        stats.peak_batch,
     );
     Ok(())
 }
@@ -204,8 +201,8 @@ fn demo(addr: &str) -> Result<(), ClientError> {
 
     let stats = client.stats()?;
     println!(
-        "server stats: sessions={} refinements={} pair_queries={} batches={}",
-        stats.sessions, stats.refinements, stats.pair_queries, stats.batches
+        "server stats: sessions={} refinements={} pair_queries={}",
+        stats.sessions, stats.refinements, stats.pair_queries
     );
     println!("demo OK");
     Ok(())

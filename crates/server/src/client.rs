@@ -75,12 +75,8 @@ pub struct ServerStats {
     pub evictions: usize,
     /// Partition refinements that actually executed across live sessions.
     pub refinements: usize,
-    /// Pair queries served by the batching layer.
+    /// `pair` requests answered, by either engine.
     pub pair_queries: usize,
-    /// Coalesced classification batches that executed.
-    pub batches: usize,
-    /// Largest number of concurrent queries sharing one batch.
-    pub peak_batch: usize,
 }
 
 /// A blocking connection to a `ccs-server`.
@@ -331,7 +327,7 @@ impl Client {
         Ok(response.get("closed").and_then(Json::as_bool) == Some(true))
     }
 
-    /// The server's registry and coalescing counters.
+    /// The server's registry and query counters.
     ///
     /// # Errors
     ///
@@ -344,8 +340,6 @@ impl Client {
             evictions: field_usize(&response, "evictions")?,
             refinements: field_usize(&response, "refinements")?,
             pair_queries: field_usize(&response, "pair_queries")?,
-            batches: field_usize(&response, "batches")?,
-            peak_batch: field_usize(&response, "peak_batch")?,
         })
     }
 }

@@ -11,11 +11,12 @@
 //! * [`registry`] — named, shareable sessions (`Arc<EquivSession>`; the
 //!   session engine is `Sync`) with LRU eviction under a resident-byte
 //!   budget.
-//! * [`batch`] — the coalescing layer: concurrent pair queries on one
-//!   `(session, notion)` share a single `classify_all` refinement, with
-//!   counters proving it.
 //! * [`protocol`] — the request/response vocabulary and dispatch
 //!   ([`Service::handle_line`]: one JSON line in, one JSON line out).
+//!   `pair`, `classify` and `partition` answer from the session's
+//!   single-flight partition memo
+//!   ([`EquivSession::classify_all`](ccs_equiv::EquivSession::classify_all)),
+//!   so concurrent queries on one session and notion share one refinement.
 //! * [`server`] — the `std::net` front end, one thread per connection.
 //! * [`client`] — a blocking [`Client`] used by the examples, the smoke
 //!   binary, and the concurrency tests.
@@ -41,14 +42,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod client;
 pub mod json;
 pub mod protocol;
 pub mod registry;
 pub mod server;
 
-pub use batch::{Coalescer, CoalescerStats};
 pub use client::{Client, ClientError, OpenedSession, ServerStats};
 pub use json::Json;
 pub use protocol::Service;

@@ -7,33 +7,42 @@
 //! request/response vocabulary is documented in `docs/PROTOCOL.md` at the
 //! repository root.
 //!
+//! `pair`, `classify` and `partition` answer from the session's memoized
+//! partition ([`EquivSession::classify_all`]).  The memo is single-flight,
+//! so `m` concurrent queries on one session and notion run one refinement;
+//! the `"coalesced"` engine value names this path.
+//!
 //! `pair` queries on determinizable notions (`language`, `trace`,
-//! `failure`) against models at or above the on-the-fly threshold
-//! (`CCS_OTF_THRESHOLD` states, default 512) bypass the coalescer and run
-//! [`EquivSession::on_the_fly`] instead: the engine stops at the first
+//! `failure`) against models of at least 512 states skip the partition and
+//! run [`EquivSession::on_the_fly`] instead: the engine stops at the first
 //! distinguishing pair instead of materializing the full determinized
 //! partition, and refutations come back with a replayable witness.  The
 //! response's `"engine"` field says which path answered.
 
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ccs_equiv::{EquivError, EquivSession, Equivalence};
 use ccs_fsp::{format, Fsp, Label, StateId};
 
-use crate::batch::Coalescer;
 use crate::json::{self, Json};
 use crate::registry::{Registry, RegistryConfig};
 
+/// Model size (states) from which determinizable `pair` queries run on the
+/// fly instead of forcing the whole determinized partition.
+const OTF_THRESHOLD: usize = 512;
+
 /// The shared, thread-safe request handler: a [`Registry`] of sessions plus
-/// the [`Coalescer`] batching layer.  One `Service` serves every connection
-/// of a server; it is also usable directly (no socket) for in-process
-/// embedding and tests.
+/// the routing between the session memo and the on-the-fly engine.  One
+/// `Service` serves every connection of a server; it is also usable
+/// directly (no socket) for in-process embedding and tests.
 #[derive(Debug)]
 pub struct Service {
     registry: Registry,
-    coalescer: Coalescer,
     otf_threshold: usize,
+    /// Answered `pair` requests, whichever engine answered them.
+    pair_queries: AtomicUsize,
 }
 
 impl Default for Service {
@@ -43,26 +52,22 @@ impl Default for Service {
 }
 
 impl Service {
-    /// A service with the given registry limits.  The on-the-fly threshold
-    /// comes from `CCS_OTF_THRESHOLD` (states; default 512, `0` routes every
-    /// eligible query on-the-fly).
+    /// A service with the given registry limits; determinizable `pair`
+    /// queries run on the fly from 512 states up.
     #[must_use]
     pub fn new(config: RegistryConfig) -> Self {
-        let threshold = std::env::var("CCS_OTF_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(512);
-        Service::with_otf_threshold(config, threshold)
+        Service::with_otf_threshold(config, OTF_THRESHOLD)
     }
 
-    /// A service with an explicit on-the-fly threshold (exposed so tests
-    /// and embedders can force either `pair` path deterministically).
+    /// A service with an explicit on-the-fly threshold in states (`0` routes
+    /// every eligible query on the fly; exposed so tests and embedders can
+    /// force either `pair` path deterministically).
     #[must_use]
     pub fn with_otf_threshold(config: RegistryConfig, otf_threshold: usize) -> Self {
         Service {
             registry: Registry::new(config),
-            coalescer: Coalescer::new(),
             otf_threshold,
+            pair_queries: AtomicUsize::new(0),
         }
     }
 
@@ -70,12 +75,6 @@ impl Service {
     #[must_use]
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The batching layer (exposed for embedding and tests).
-    #[must_use]
-    pub fn coalescer(&self) -> &Coalescer {
-        &self.coalescer
     }
 
     /// Handles one request line, returning exactly one response line
@@ -153,11 +152,11 @@ impl Service {
     }
 
     fn op_pair(&self, request: &Json) -> Result<Json, EquivError> {
-        let (handle, session) = self.session_of(request)?;
+        let session = self.session_of(request)?;
         let notion = notion_field(request)?;
         let p = state_field(&session, request, "left")?;
         let q = state_field(&session, request, "right")?;
-        // Oversize models on determinizable notions skip the coalescer: the
+        // Oversize models on determinizable notions skip the partition: the
         // on-the-fly engine stops at the first distinguishing pair instead
         // of forcing the whole determinized partition, and everything it
         // learns still lands in the shared session caches.
@@ -165,7 +164,7 @@ impl Service {
             notion,
             Equivalence::Language | Equivalence::Trace | Equivalence::Failure
         );
-        if determinizable && session.fsp().num_states() >= self.otf_threshold {
+        let reply = if determinizable && session.fsp().num_states() >= self.otf_threshold {
             let outcome = session.on_the_fly(notion, p, q)?;
             let mut fields = vec![
                 ("ok", Json::Bool(true)),
@@ -184,21 +183,28 @@ impl Service {
                     Json::obj([("trace", trace), ("refusal", refusal)]),
                 ));
             }
-            return Ok(Json::obj(fields));
-        }
-        let equivalent = self.coalescer.pair(&handle, &session, notion, p, q);
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("equivalent", Json::Bool(equivalent)),
-            ("notion", Json::str(notion.to_string())),
-            ("engine", Json::str("coalesced")),
-        ]))
+            Json::obj(fields)
+        } else {
+            // Always the whole partition, never the session's per-pair
+            // cache: concurrent pairs share the one memoized refinement.
+            let equivalent = session
+                .classify_all(notion)
+                .same_block(p.index(), q.index());
+            Json::obj([
+                ("ok", Json::Bool(true)),
+                ("equivalent", Json::Bool(equivalent)),
+                ("notion", Json::str(notion.to_string())),
+                ("engine", Json::str("coalesced")),
+            ])
+        };
+        self.pair_queries.fetch_add(1, Ordering::Relaxed);
+        Ok(reply)
     }
 
     fn op_classify(&self, request: &Json) -> Result<Json, EquivError> {
-        let (handle, session) = self.session_of(request)?;
+        let session = self.session_of(request)?;
         let notion = notion_field(request)?;
-        let partition = self.coalescer.classify(&handle, &session, notion);
+        let partition = session.classify_all(notion);
         let fsp = session.fsp();
         let blocks: Vec<Json> = partition
             .blocks()
@@ -221,9 +227,9 @@ impl Service {
     }
 
     fn op_partition(&self, request: &Json) -> Result<Json, EquivError> {
-        let (handle, session) = self.session_of(request)?;
+        let session = self.session_of(request)?;
         let notion = notion_field(request)?;
-        let partition = self.coalescer.classify(&handle, &session, notion);
+        let partition = session.classify_all(notion);
         let fsp = session.fsp();
         let assignment = partition
             .assignment()
@@ -273,23 +279,21 @@ impl Service {
 
     fn op_stats(&self) -> Json {
         let registry = self.registry.stats();
-        let coalescer = self.coalescer.stats();
         Json::obj([
             ("ok", Json::Bool(true)),
             ("sessions", as_num(registry.sessions)),
             ("resident_bytes", as_num(registry.resident_bytes)),
             ("evictions", as_num(registry.evictions)),
             ("refinements", as_num(registry.refinements)),
-            ("pair_queries", as_num(coalescer.pair_queries)),
-            ("batches", as_num(coalescer.batches)),
-            ("peak_batch", as_num(coalescer.peak_group)),
+            (
+                "pair_queries",
+                as_num(self.pair_queries.load(Ordering::Relaxed)),
+            ),
         ])
     }
 
-    fn session_of(&self, request: &Json) -> Result<(String, Arc<EquivSession>), EquivError> {
-        let id = str_field(request, "session")?;
-        let session = self.registry.get(id)?;
-        Ok((id.to_owned(), session))
+    fn session_of(&self, request: &Json) -> Result<Arc<EquivSession>, EquivError> {
+        self.registry.get(str_field(request, "session")?)
     }
 }
 
@@ -560,7 +564,7 @@ mod tests {
         let trace = witness.get("trace").unwrap();
         assert_eq!(trace, &Json::Arr(vec![Json::str("a")]));
         assert!(matches!(witness.get("refusal"), Some(Json::Arr(set)) if !set.is_empty()));
-        // Branching-time notions still use the coalescer regardless of size.
+        // Branching-time notions answer from the partition regardless of size.
         let value = json::parse(&service.handle_line(&format!(
             r#"{{"op":"pair","session":"{id}","notion":"observational","left":"p","right":"u"}}"#
         )))

@@ -68,8 +68,8 @@ pub struct RegistryStats {
     /// Sessions evicted under pressure since the registry was created.
     pub evictions: usize,
     /// Sum of [`EquivSession::refinements_run`] across live sessions — the
-    /// coalescing evidence: it counts partition computations that actually
-    /// executed, not queries served.
+    /// evidence that the session memo coalesces: it counts partition
+    /// computations that actually executed, not queries served.
     pub refinements: usize,
 }
 
@@ -198,8 +198,7 @@ impl Registry {
                 outcome
             }
             Err(shared) => {
-                let mut session =
-                    EquivSession::with_algorithm(shared.fsp().clone(), shared.default_algorithm());
+                let mut session = EquivSession::for_process(shared.fsp());
                 let outcome = session.apply_delta(additions, removals);
                 entry.session = Arc::new(session);
                 outcome

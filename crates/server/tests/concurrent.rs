@@ -2,14 +2,15 @@
 //! threads issuing interleaved `pair` and `classify` queries, responses
 //! byte-deterministic and identical to a direct [`EquivSession`] oracle —
 //! and the coalescing evidence: one wave of concurrent pair queries on one
-//! `(session, notion)` runs exactly one refinement.
+//! `(session, notion)` runs exactly one refinement of the session memo.
 
 use std::collections::BTreeMap;
 use std::sync::Barrier;
+use std::time::Duration;
 
 use ccs_equiv::{EquivSession, Equivalence, Query};
 use ccs_fsp::format;
-use ccs_server::{Client, Server, Service};
+use ccs_server::{Client, Json, Server, Service};
 
 /// The process every test serves: τ-absorption plus a dead tail, small
 /// enough to enumerate all pairs, rich enough that notions disagree.
@@ -155,11 +156,9 @@ fn one_wave_of_concurrent_pairs_runs_one_refinement() {
         "m concurrent pair queries on one (session, notion) must coalesce \
          into exactly one refinement"
     );
-    assert!(stats.batches >= 1);
-    assert!(stats.peak_batch >= 1);
 }
 
-/// The `≈ₖ` hierarchy through the coalescer: a wave of concurrent
+/// The `≈ₖ` hierarchy through the session memo: a wave of concurrent
 /// `k-observational-2` queries shares one subset arena and runs exactly
 /// one refinement per level (0, 1, 2) — the level memo is single-flight
 /// just like the flat notions.
@@ -232,4 +231,84 @@ fn responses_are_byte_identical_across_connections() {
     for response in &responses {
         assert_eq!(response, &responses[0]);
     }
+}
+
+/// A window-`w` language blow-up core (`L(h) = Σ*aΣ^{w-1}`, a `2^w`-subset
+/// arena, so classifying it is slow) plus `x →a y` with `y` accepting and
+/// an isolated `z`: `x` and `z` differ in language until `x →a y` goes.
+fn blowup_text(window: usize) -> String {
+    let mut text = String::from("trans h a h\ntrans h b h\ntrans h a c1\n");
+    for i in 1..window {
+        text.push_str(&format!(
+            "trans c{i} a c{}\ntrans c{i} b c{}\n",
+            i + 1,
+            i + 1
+        ));
+    }
+    text.push_str(&format!("accept c{window} y\ntrans x a y\nstate z\n"));
+    text
+}
+
+/// One in-process request/response round trip, parsed.
+fn call(service: &Service, request: &Json) -> Json {
+    ccs_server::json::parse(&service.handle_line(&request.to_string())).unwrap()
+}
+
+fn open_text(service: &Service, text: &str) -> String {
+    let reply = call(
+        service,
+        &Json::obj([("op", Json::str("open")), ("text", Json::str(text))]),
+    );
+    reply
+        .get("session")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_owned()
+}
+
+fn classify_language(session: &str) -> Json {
+    Json::obj([
+        ("op", Json::str("classify")),
+        ("session", Json::str(session)),
+        ("notion", Json::str("language")),
+    ])
+}
+
+/// A `classify` issued after an acknowledged `mutate` answers for the
+/// mutated process, even while a `classify` on the pre-mutation session —
+/// which the mutate had to replace, not patch, because that query still
+/// held it — is running on another thread.
+#[test]
+fn classify_after_mutate_never_sees_the_replaced_session() {
+    let service = Service::default();
+    let id = open_text(&service, &blowup_text(11));
+    let (before, after) = std::thread::scope(|scope| {
+        let slow = scope.spawn(|| call(&service, &classify_language(&id)));
+        // Wait until the old session's language refinement is under way.
+        while service.registry().get(&id).unwrap().refinements_run() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let edge = Json::Arr(vec![Json::str("x"), Json::str("a"), Json::str("y")]);
+        let mutated = call(
+            &service,
+            &Json::obj([
+                ("op", Json::str("mutate")),
+                ("session", Json::str(&id)),
+                ("remove", Json::Arr(vec![edge])),
+            ]),
+        );
+        assert_eq!(mutated.get("removed").and_then(Json::as_i64), Some(1));
+        let after = call(&service, &classify_language(&id));
+        (slow.join().unwrap(), after)
+    });
+
+    let mutated_text = format::to_text(service.registry().get(&id).unwrap().fsp());
+    let fresh = Service::default();
+    let fresh_id = open_text(&fresh, &mutated_text);
+    let expected = call(&fresh, &classify_language(&fresh_id));
+    assert_eq!(
+        after, expected,
+        "classify after mutate must answer for the mutated process"
+    );
+    assert_ne!(before, after, "the mutation changes the language classes");
 }

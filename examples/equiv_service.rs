@@ -59,13 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         expr.session, expr.states
     );
 
-    // The server keeps honest books: every refinement that ran, every pair
-    // query served, and how they coalesced.
+    // The server keeps honest books: every refinement that ran and every
+    // pair query answered.
     let stats = client.stats()?;
     println!(
-        "server stats: sessions={} resident_bytes={} refinements={} \
-         pair_queries={} batches={}",
-        stats.sessions, stats.resident_bytes, stats.refinements, stats.pair_queries, stats.batches
+        "server stats: sessions={} resident_bytes={} refinements={} pair_queries={}",
+        stats.sessions, stats.resident_bytes, stats.refinements, stats.pair_queries
     );
 
     client.close_session(&opened.session)?;

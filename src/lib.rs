@@ -17,8 +17,8 @@
 //! * [`workloads`] — random and structured process generators used by tests
 //!   and benchmarks.
 //! * [`server`] — equivalence-as-a-service: the line-oriented JSON wire
-//!   protocol over TCP, its session registry and batching layer, and the
-//!   matching blocking client.
+//!   protocol over TCP, its session registry, and the matching blocking
+//!   client.
 //!
 //! Where this crate sits in the workspace — the crate map, the
 //! end-to-end data flow, and the notion-to-procedure table — is laid out
