@@ -1,6 +1,5 @@
-//! Wall-clock experiment runner: prints the scaling tables recorded in
-//! `EXPERIMENTS.md` (one section per experiment of the index in
-//! `DESIGN.md`).
+//! Wall-clock experiment runner: prints one scaling table per experiment
+//! (the tracked ones are recorded in `crates/bench/baselines/`).
 //!
 //! Usage: `cargo run --release -p ccs-bench --bin report [experiment ...]
 //! [--only <experiment>]... [--help]` (default: all).  The valid experiment

@@ -1,10 +1,10 @@
 //! Shared helpers for the `ccs-equiv` benchmark harness.
 //!
 //! The Criterion benches under `benches/` reproduce, as measured scaling
-//! experiments, the complexity results of Kanellakis & Smolka (see
-//! `EXPERIMENTS.md` at the repository root for the experiment-by-experiment
-//! mapping).  The `report` binary re-runs the same measurements with plain
-//! wall-clock timing and prints the tables recorded in `EXPERIMENTS.md`.
+//! experiments, the complexity results of Kanellakis & Smolka.  The
+//! `report` binary re-runs the same measurements with plain wall-clock
+//! timing and prints one table per experiment; the tracked tables are
+//! recorded in `crates/bench/baselines/report-e7-wp.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,8 +22,9 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Order-independent fingerprint of a subset: the XOR of each member's
 /// SplitMix64 image.  Because XOR commutes, the fingerprint depends only on
-/// the member *set*, so the dense-bitset and sparse-run arenas hash
-/// identically; the empty subset fingerprints to `0`.
+/// the member *set*; the empty subset fingerprints to `0`.  XOR is also
+/// linear over GF(2), so distinct sets can collide — the arena's intern
+/// compares members and spills collisions.
 pub(crate) fn subset_fingerprint(members: &[u32]) -> u64 {
     members
         .iter()

@@ -1,6 +1,6 @@
 //! The shared determinization subsystem: one memoized, interned subset
 //! automaton per session, feeding both whole-space classification and
-//! early-exiting pair checks for the PSPACE notions.
+//! the on-the-fly pair search for the PSPACE notions.
 //!
 //! The paper pins language, trace and failure equivalence to PSPACE
 //! (Theorem 4.1(b), Theorem 5.1), and Proposition 2.2.4(b) plus the
@@ -25,30 +25,26 @@
 //!   partition refinement over it — the Myhill–Nerode classes of the
 //!   multi-class output function are exactly the notion's equivalence
 //!   classes, so the per-class representative scan disappears.
-//! * [`PairCache`] answers individual pair queries by a synchronized
-//!   union-find search over interned subset ids (the AHU scheme of
+//! * [`PairCache`] is the per-notion memo of the pair search in
+//!   [`onthefly`](crate::onthefly) — a synchronized union-find search over
+//!   interned subset ids (the AHU scheme of
 //!   [`dfa_equiv`](ccs_partition::dfa_equiv), run on the lazily-built
 //!   arena), pruned *up to congruence*: a popped pair whose sides are
 //!   already merged is skipped, which subsumes the antichain pruning of the
 //!   De Wulf–Doyen line for this synchronized-pair shape (Bonchi & Pous).
-//!   Verdicts are memoized across queries — proven pairs merge into a
-//!   persistent congruence, refuted pairs (and every ancestor on the path
-//!   that exposed them) land in a refutation cache — so a session's later
-//!   queries early-exit on first contact with anything already decided.
+//!   Proven pairs merge into a persistent congruence, so a session's later
+//!   queries skip everything already proven.
 //!
 //! # Memory layout
 //!
-//! Subset ids are `u32` ([`SubsetId`]) and the arena stores member sets in
-//! one of two compact representations ([`SubsetRepr`]), chosen from the
-//! state count at construction: *dense* fixed-width bitsets (one `u64` word
-//! row per subset) when the ground set is small enough that a row beats a
-//! member list, or *sparse* sorted `u32` runs concatenated in one flat
-//! array behind a CSR offset table.  Interning hashes subsets by the XOR of
-//! their mixed members (a SplitMix64-based fingerprint) — order- and
-//! representation-independent — into a `u64 → id` table, so the member data
-//! is stored exactly once (the old layout duplicated every member list as a
-//! `HashMap` key).  Transitions, annotations, the refusal-antichain intern
-//! and the [`PairCache`] congruence all ride the same 32-bit ids.
+//! Subset ids are `u32` ([`SubsetId`]) and the arena stores member sets as
+//! sorted `u32` runs concatenated in one flat array behind a CSR offset
+//! table.  Interning hashes subsets by the XOR of their mixed members (a
+//! SplitMix64-based fingerprint, order-independent) into a `u64 → id`
+//! table, so the member data is stored exactly once; a subset whose
+//! fingerprint collides with an interned one goes to a short spill list.  Transitions,
+//! annotations, the refusal-antichain intern and the [`PairCache`]
+//! congruence all ride the same 32-bit ids.
 //!
 //! The worst case is still exponential — as Theorem 4.1(b) demands — but
 //! the exponential work is paid **once per subset**, not once per pair.
@@ -99,193 +95,21 @@ impl DetNotion {
     }
 }
 
-/// How a [`SubsetAutomaton`] stores its member sets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubsetRepr {
-    /// Fixed-width bitsets: `⌈n/64⌉` `u64` words per subset.  Constant-size
-    /// rows, `O(1)` membership, and the densest choice once subsets average
-    /// more than a couple of words' worth of members — the regime of the
-    /// determinization blow-up families.
-    Dense,
-    /// Sorted `u32` member runs concatenated in one flat array behind a CSR
-    /// offset table.  Four bytes per member: the better choice when the
-    /// ground set is large but subsets stay small.
-    Sparse,
-}
-
-impl SubsetRepr {
-    /// Largest ground set for which the automatic choice picks
-    /// [`SubsetRepr::Dense`]: a bitset row is then at most 64 bytes, which
-    /// beats sparse runs as soon as subsets average ≥ 16 members — and
-    /// subset constructions over small ground sets are exactly the ones
-    /// whose subsets get fat.
-    pub const DENSE_MAX_STATES: usize = 512;
-
-    /// The representation used for a ground set of `num_states` states when
-    /// the caller does not force one.
-    #[must_use]
-    pub fn choose(num_states: usize) -> Self {
-        if num_states <= Self::DENSE_MAX_STATES {
-            SubsetRepr::Dense
-        } else {
-            SubsetRepr::Sparse
-        }
-    }
-}
-
-/// The member storage behind the arena — see [`SubsetRepr`].
-#[derive(Clone, Debug)]
-enum MemberStore {
-    Dense {
-        /// `u64` words per subset row (`⌈num_states/64⌉`).
-        words: usize,
-        bits: Vec<u64>,
-    },
-    Sparse {
-        offsets: Vec<u32>,
-        data: Vec<u32>,
-    },
-}
-
-impl MemberStore {
-    fn new(repr: SubsetRepr, num_states: usize) -> Self {
-        match repr {
-            SubsetRepr::Dense => MemberStore::Dense {
-                words: num_states.div_ceil(64),
-                bits: Vec::new(),
-            },
-            SubsetRepr::Sparse => MemberStore::Sparse {
-                offsets: vec![0],
-                data: Vec::new(),
-            },
-        }
-    }
-
-    /// Appends a subset (sorted, duplicate-free members) and returns nothing;
-    /// the caller assigns the next dense id.
-    fn push(&mut self, members: &[u32]) {
-        match self {
-            MemberStore::Dense { words, bits } => {
-                let base = bits.len();
-                bits.resize(base + *words, 0);
-                for &m in members {
-                    bits[base + (m as usize >> 6)] |= 1u64 << (m & 63);
-                }
-            }
-            MemberStore::Sparse { offsets, data } => {
-                data.extend_from_slice(members);
-                offsets.push(narrow(data.len()));
-            }
-        }
-    }
-
-    /// Number of members of a subset.
-    fn len(&self, id: SubsetId) -> usize {
-        match self {
-            MemberStore::Dense { words, bits } => bits[id as usize * *words..][..*words]
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum(),
-            MemberStore::Sparse { offsets, .. } => {
-                (offsets[id as usize + 1] - offsets[id as usize]) as usize
-            }
-        }
-    }
-
-    /// Whether the stored subset equals `members` (sorted, duplicate-free).
-    fn matches(&self, id: SubsetId, members: &[u32]) -> bool {
-        match self {
-            MemberStore::Dense { words, bits } => {
-                let row = &bits[id as usize * *words..][..*words];
-                row.iter().map(|w| w.count_ones() as usize).sum::<usize>() == members.len()
-                    && members
-                        .iter()
-                        .all(|&m| row[m as usize >> 6] & (1u64 << (m & 63)) != 0)
-            }
-            MemberStore::Sparse { offsets, data } => {
-                &data[offsets[id as usize] as usize..offsets[id as usize + 1] as usize] == members
-            }
-        }
-    }
-
-    /// Iterates the members of a subset in ascending order.
-    fn iter(&self, id: SubsetId) -> MemberIter<'_> {
-        match self {
-            MemberStore::Dense { words, bits } => MemberIter::Dense {
-                row: &bits[id as usize * *words..][..*words],
-                word: 0,
-                current: 0,
-            },
-            MemberStore::Sparse { offsets, data } => MemberIter::Sparse(
-                data[offsets[id as usize] as usize..offsets[id as usize + 1] as usize].iter(),
-            ),
-        }
-    }
-
-    /// The materialized sorted member list of a subset.
-    fn collect(&self, id: SubsetId) -> Vec<u32> {
-        self.iter(id).collect()
-    }
-
-    /// Heap bytes held by the store, from live container capacities.
-    fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        match self {
-            MemberStore::Dense { bits, .. } => bits.capacity() * size_of::<u64>(),
-            MemberStore::Sparse { offsets, data } => {
-                (offsets.capacity() + data.capacity()) * size_of::<u32>()
-            }
-        }
-    }
-}
-
-/// Ascending member iterator over either representation.
-enum MemberIter<'a> {
-    Dense {
-        row: &'a [u64],
-        /// Index of the next word to load.
-        word: usize,
-        /// Remaining bits of the last loaded word.
-        current: u64,
-    },
-    Sparse(std::slice::Iter<'a, u32>),
-}
-
-impl Iterator for MemberIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            MemberIter::Dense { row, word, current } => {
-                while *current == 0 {
-                    if *word >= row.len() {
-                        return None;
-                    }
-                    *current = row[*word];
-                    *word += 1;
-                }
-                let bit = current.trailing_zeros();
-                *current &= *current - 1;
-                Some(narrow((*word - 1) * 64) + bit)
-            }
-            MemberIter::Sparse(it) => it.next().copied(),
-        }
-    }
-}
-
 /// A memoized, interned subset automaton over one process.
 ///
-/// Subsets are sorted, duplicate-free, ε-closed member sets stored compactly
-/// (see [`SubsetRepr`]) and interned once via an order-independent
-/// fingerprint; transitions are computed lazily against a caller-provided
-/// [`SaturatedView`] and cached forever.  Id [`SubsetAutomaton::DEAD`] is
+/// Subsets are sorted, duplicate-free, ε-closed member sets stored as `u32`
+/// runs behind a CSR offset table and interned once via an
+/// order-independent fingerprint; transitions are computed lazily against a
+/// caller-provided [`SaturatedView`] and cached forever.  Id [`SubsetAutomaton::DEAD`] is
 /// the empty subset, which makes the (explored part of the) automaton a
 /// *complete* DFA — the shape the partition core's [`Dfa`] wants.
 #[derive(Clone, Debug)]
 pub struct SubsetAutomaton {
     num_actions: usize,
-    repr: SubsetRepr,
-    store: MemberStore,
+    /// CSR member store: the members of subset `id` are
+    /// `members[offsets[id]..offsets[id + 1]]`.
+    offsets: Vec<u32>,
+    members: Vec<u32>,
     num_subsets: u32,
     /// Fingerprint → interned id.  Distinct subsets with colliding
     /// fingerprints overflow into `intern_spill` (vanishingly rare).
@@ -322,26 +146,16 @@ impl SubsetAutomaton {
     /// The empty subset — the dead state of the complete DFA.
     pub const DEAD: SubsetId = 0;
 
-    /// Creates an empty automaton for `fsp` with the representation
-    /// [`SubsetRepr::choose`] picks for its state count, capturing the
-    /// acceptance flags (the only fact the annotations need from the process
-    /// itself; all transition structure comes from the [`SaturatedView`]
-    /// passed to each exploring call, which must be the view of the same
-    /// process).
+    /// Creates an empty automaton for `fsp`, capturing the acceptance flags
+    /// (the only fact the annotations need from the process itself; all
+    /// transition structure comes from the [`SaturatedView`] passed to each
+    /// exploring call, which must be the view of the same process).
     #[must_use]
     pub fn new(fsp: &Fsp) -> Self {
-        Self::with_repr(fsp, SubsetRepr::choose(fsp.num_states()))
-    }
-
-    /// Like [`SubsetAutomaton::new`] with an explicit member representation
-    /// — both produce identical ids, transitions and classes (the property
-    /// suite asserts it); only the byte layout differs.
-    #[must_use]
-    pub fn with_repr(fsp: &Fsp, repr: SubsetRepr) -> Self {
         let mut auto = SubsetAutomaton {
             num_actions: fsp.num_actions(),
-            repr,
-            store: MemberStore::new(repr, fsp.num_states()),
+            offsets: vec![0],
+            members: Vec::new(),
             num_subsets: 0,
             intern: HashMap::new(),
             intern_spill: Vec::new(),
@@ -364,12 +178,6 @@ impl SubsetAutomaton {
         }
         auto.unexplored_slots -= auto.num_actions;
         auto
-    }
-
-    /// The member representation this arena stores subsets in.
-    #[must_use]
-    pub fn repr(&self) -> SubsetRepr {
-        self.repr
     }
 
     /// Number of interned subsets (the arena size).
@@ -401,7 +209,7 @@ impl SubsetAutomaton {
             .keys()
             .map(|k| k.capacity() * size_of::<u32>())
             .sum();
-        self.store.resident_bytes()
+        (self.offsets.capacity() + self.members.capacity()) * size_of::<u32>()
             + self.intern.capacity() * (size_of::<(u64, SubsetId)>() + 1)
             + self.intern_spill.capacity() * size_of::<(u64, SubsetId)>()
             + self.delta.capacity() * size_of::<u32>()
@@ -414,16 +222,10 @@ impl SubsetAutomaton {
             + self.state_accepting.capacity()
     }
 
-    /// The materialized sorted member list of a subset (state indices).
+    /// The sorted member list of a subset (state indices).
     #[must_use]
-    pub fn subset(&self, id: SubsetId) -> Vec<u32> {
-        self.store.collect(id)
-    }
-
-    /// Number of members of a subset, without materializing it.
-    #[must_use]
-    pub fn subset_len(&self, id: SubsetId) -> usize {
-        self.store.len(id)
+    pub fn subset(&self, id: SubsetId) -> &[u32] {
+        &self.members[self.offsets[id as usize] as usize..self.offsets[id as usize + 1] as usize]
     }
 
     /// Whether the subset contains an accepting state.
@@ -444,12 +246,12 @@ impl SubsetAutomaton {
     /// Finds an already-interned subset by fingerprint + member comparison.
     fn lookup(&self, fp: u64, members: &[u32]) -> Option<SubsetId> {
         let &id = self.intern.get(&fp)?;
-        if self.store.matches(id, members) {
+        if self.subset(id) == members {
             return Some(id);
         }
         self.intern_spill
             .iter()
-            .find(|&&(f, sid)| f == fp && self.store.matches(sid, members))
+            .find(|&&(f, sid)| f == fp && self.subset(sid) == members)
             .map(|&(_, sid)| sid)
     }
 
@@ -458,7 +260,8 @@ impl SubsetAutomaton {
         let id = self.num_subsets;
         assert!(id < UNEXPLORED, "subset arena exceeds the 32-bit id range");
         self.num_subsets += 1;
-        self.store.push(members);
+        self.members.extend_from_slice(members);
+        self.offsets.push(narrow(self.members.len()));
         self.accepting
             .push(members.iter().any(|&s| self.state_accepting[s as usize]));
         self.enabled_data.extend_from_slice(enabled);
@@ -534,7 +337,7 @@ impl SubsetAutomaton {
             Self::DEAD
         } else {
             let mut members: Vec<u32> = Vec::new();
-            for x in self.store.iter(id) {
+            for &x in self.subset(id) {
                 members.extend(
                     view.successors(StateId::from_index(x as usize), action)
                         .iter()
@@ -558,8 +361,7 @@ impl SubsetAutomaton {
         if self.refusal_class[id as usize] != REFUSAL_UNSET {
             return self.refusal_class[id as usize];
         }
-        let members = self.store.collect(id);
-        let antichain = maximal_refusals(view, &members);
+        let antichain = maximal_refusals(view, self.subset(id));
         // Length-prefixed flattening is injective over sorted member lists.
         let mut key: Vec<u32> =
             Vec::with_capacity(antichain.len() + antichain.iter().map(Vec::len).sum::<usize>());
@@ -643,9 +445,9 @@ impl SubsetAutomaton {
         for id in 0..self.num_subsets {
             scratch.clear();
             scratch.extend(
-                self.store
-                    .iter(id)
-                    .map(|m| narrow(prev.block_of(m as usize))),
+                self.subset(id)
+                    .iter()
+                    .map(|&m| narrow(prev.block_of(m as usize))),
             );
             scratch.sort_unstable();
             scratch.dedup();
@@ -733,25 +535,22 @@ pub(crate) fn classify_starts(
     Partition::from_assignment(&assignment)
 }
 
-/// A per-notion memo of decided subset pairs: proven pairs merge into a
-/// persistent union-find congruence, refuted pairs are cached with every
-/// ancestor pair on the path that exposed them.
+/// The per-notion memo of the [`onthefly`](crate::onthefly) pair search:
+/// a persistent union-find congruence of proven-equivalent subset pairs.
 ///
-/// One cache serves every pair query of a session against one notion; the
-/// arena ids it stores are those of the session's shared
-/// [`SubsetAutomaton`] — compact `u32`s throughout, halving both the
-/// congruence array and the refutation set against the old `usize` layout —
-/// so the cache must never be reused across automata.
+/// A search clones it, prunes against the copy, and commits the copy back
+/// only when no distinguishing pair turns up; a refuted search leaves the
+/// cache untouched.  The arena ids it stores are those of the session's
+/// shared [`SubsetAutomaton`], so the cache must never be reused across
+/// automata.
 #[derive(Clone, Debug, Default)]
 pub struct PairCache {
     /// Parent array of the proven-equivalent congruence (grows with the
     /// arena; a root points to itself).
     proven: Vec<u32>,
-    /// Canonically-ordered refuted pairs.
-    refuted: std::collections::HashSet<(SubsetId, SubsetId)>,
 }
 
-pub(crate) fn find(parent: &mut [u32], mut x: u32) -> u32 {
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
         parent[x as usize] = parent[parent[x as usize] as usize]; // path halving
         x = parent[x as usize];
@@ -769,116 +568,31 @@ pub(crate) fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
     true
 }
 
-fn canon(a: SubsetId, b: SubsetId) -> (SubsetId, SubsetId) {
-    (a.min(b), a.max(b))
+/// Grows a parent array with singleton roots to cover `n` ids.
+pub(crate) fn grow(parent: &mut Vec<u32>, n: usize) {
+    while parent.len() < n {
+        parent.push(narrow(parent.len()));
+    }
 }
 
 impl PairCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        PairCache::default()
-    }
-
-    /// Number of refuted pairs memoized so far (diagnostic).
-    #[must_use]
-    pub fn refuted_pairs(&self) -> usize {
-        self.refuted.len()
-    }
-
-    /// Heap bytes held by the cache (congruence array plus refutation set),
-    /// measured from live container capacities.
+    /// Heap bytes held by the congruence array, measured from its live
+    /// capacity.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.proven.capacity() * size_of::<u32>()
-            + self.refuted.capacity() * (size_of::<(SubsetId, SubsetId)>() + 1)
+        self.proven.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Whether the pair is already in the committed proven congruence — the
-    /// `O(α)` early-exit of [`PairCache::equivalent`] (diagnostic).
+    /// `O(α)` early exit of the pair search.
     pub fn is_proven(&mut self, a: SubsetId, b: SubsetId) -> bool {
-        let needed = a.max(b) as usize + 1;
-        Self::grow(&mut self.proven, needed);
+        grow(&mut self.proven, a.max(b) as usize + 1);
         find(&mut self.proven, a) == find(&mut self.proven, b)
     }
 
-    fn grow(parent: &mut Vec<u32>, n: usize) {
-        while parent.len() < n {
-            parent.push(narrow(parent.len()));
-        }
-    }
-
-    /// Decides whether two subset states are `notion`-equivalent by a
-    /// synchronized union-find search over the shared arena, pruned up to
-    /// the congruence of everything proven so far and early-exiting on any
-    /// pair already refuted.
-    ///
-    /// On success the whole search's congruence is committed to the cache;
-    /// on failure the distinguishing pair *and every ancestor on its
-    /// provenance chain* (each inequivalent by the same suffix) are added to
-    /// the refutation cache, and the speculative merges are discarded.
-    pub fn equivalent(
-        &mut self,
-        auto: &mut SubsetAutomaton,
-        view: &SaturatedView,
-        notion: DetNotion,
-        left: SubsetId,
-        right: SubsetId,
-    ) -> bool {
-        Self::grow(&mut self.proven, auto.num_subsets());
-        if find(&mut self.proven, left) == find(&mut self.proven, right) {
-            return true;
-        }
-        if self.refuted.contains(&canon(left, right)) {
-            return false;
-        }
-        // Speculative congruence: the persistent one plus this search's
-        // merges; committed only if no distinguishing pair turns up.  The
-        // root pair is merged up front (as every pushed pair is) so a
-        // successful commit memoizes the queried pair itself.
-        let mut uf = self.proven.clone();
-        union(&mut uf, left, right);
-        let mut pairs: Vec<(SubsetId, SubsetId)> = vec![(left, right)];
-        let mut provenance: Vec<Option<usize>> = vec![None];
-        let mut head = 0;
-        while head < pairs.len() {
-            let (x, y) = pairs[head];
-            if auto.classes_differ(view, notion, x, y) || self.refuted.contains(&canon(x, y)) {
-                // Every ancestor is distinguished by the same suffix.
-                let mut cursor = Some(head);
-                while let Some(i) = cursor {
-                    self.refuted.insert(canon(pairs[i].0, pairs[i].1));
-                    cursor = provenance[i];
-                }
-                return false;
-            }
-            for a in 0..auto.num_actions() {
-                let action = ActionId::from_index(a);
-                let nx = auto.step(view, x, action);
-                let ny = auto.step(view, y, action);
-                Self::grow(&mut uf, auto.num_subsets());
-                if union(&mut uf, nx, ny) {
-                    pairs.push((nx, ny));
-                    provenance.push(Some(head));
-                }
-            }
-            head += 1;
-        }
-        self.proven = uf;
-        true
-    }
-
-    // --- hooks for the on-the-fly engine (crate::onthefly) ----------------
-    //
-    // The witness-producing search clones the committed congruence, prunes
-    // against it speculatively exactly like `equivalent`, and feeds its
-    // outcome back through these: the cache stays the single source of
-    // session-level pair knowledge whichever engine ran the search.
-
     /// A speculative copy of the proven congruence, grown to `n` ids.
     pub(crate) fn speculative(&mut self, n: usize) -> Vec<u32> {
-        Self::grow(&mut self.proven, n);
+        grow(&mut self.proven, n);
         self.proven.clone()
     }
 
@@ -887,19 +601,14 @@ impl PairCache {
         debug_assert!(uf.len() >= self.proven.len());
         self.proven = uf;
     }
-
-    /// Memoizes a refuted pair (the on-the-fly engine records the whole
-    /// provenance chain of a witness, one call per ancestor).
-    pub(crate) fn record_refuted(&mut self, a: SubsetId, b: SubsetId) {
-        self.refuted.insert(canon(a, b));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_fsp::format;
+    use crate::EquivSession;
     use ccs_fsp::saturate::{tau_closure, SaturatedView};
+    use ccs_fsp::{format, Label};
 
     fn arena(fsp: &Fsp) -> (SubsetAutomaton, SaturatedView) {
         let closure = tau_closure(fsp);
@@ -913,7 +622,6 @@ mod tests {
         let (mut auto, view) = arena(&f);
         assert_eq!(auto.num_subsets(), 1);
         assert!(auto.subset(SubsetAutomaton::DEAD).is_empty());
-        assert_eq!(auto.subset_len(SubsetAutomaton::DEAD), 0);
         assert!(!auto.is_accepting(SubsetAutomaton::DEAD));
         let a = f.action_id("a").unwrap();
         assert_eq!(
@@ -929,7 +637,6 @@ mod tests {
         let p = f.state_by_name("p").unwrap();
         let sp = auto.start(&view, p);
         assert_eq!(auto.subset(sp).len(), 2); // {p, q}
-        assert_eq!(auto.subset_len(sp), 2);
         assert_eq!(auto.start(&view, p), sp);
         let a = f.action_id("a").unwrap();
         let after = auto.step(&view, sp, a);
@@ -997,33 +704,119 @@ mod tests {
         assert!(table.iter().all(|&t| (t as usize) < auto.num_subsets()));
     }
 
+    /// Pair queries through the session's one search agree with the
+    /// per-pair checker; proven pairs are memoized in the congruence, and
+    /// refuted ones are searched again and yield the same witness.
     #[test]
     fn pair_cache_agrees_with_free_checkers_and_memoizes() {
         let f = format::parse("trans p a q\ntrans r a s\ntrans x b y\ntrans q a q\naccept q s y")
             .unwrap();
-        let (mut auto, view) = arena(&f);
-        let mut cache = PairCache::new();
+        let session = EquivSession::for_process(&f);
         let states: Vec<StateId> = f.state_ids().collect();
+        let mut refuted = 0;
         for &a in &states {
             for &b in &states {
-                let (sa, sb) = (auto.start(&view, a), auto.start(&view, b));
-                let got = cache.equivalent(&mut auto, &view, DetNotion::Language, sa, sb);
                 let want = crate::language::language_equivalent_states(&f, a, b).holds;
+                let got = session.equivalent_states(a, b, Equivalence::Language);
                 assert_eq!(got, want, "{a} vs {b}");
-                // Positive verdicts land in the committed congruence (the
-                // root pair is merged, not just its successors), so repeats
-                // and the symmetric query take the early exit.
+                let first = session.on_the_fly(Equivalence::Language, a, b).unwrap();
+                let again = session.on_the_fly(Equivalence::Language, a, b).unwrap();
+                assert_eq!((first.equivalent, again.equivalent), (want, want));
                 if want {
-                    assert!(cache.is_proven(sa, sb), "{a} ≡ {b} not memoized");
+                    // The root pair lands in the committed congruence, so
+                    // the repeat never searches.
+                    assert!(again.stats.cache_hit, "{a} ≡ {b} not memoized");
+                    assert_eq!(again.stats.pairs_visited, 0);
+                } else {
+                    assert!(!again.stats.cache_hit);
+                    assert!(first.witness.is_some());
+                    assert_eq!(again.witness, first.witness, "{a} vs {b}");
+                    refuted += 1;
                 }
-                // Memoized verdicts are stable.
-                assert_eq!(
-                    cache.equivalent(&mut auto, &view, DetNotion::Language, sa, sb),
-                    want
-                );
             }
         }
-        assert!(cache.refuted_pairs() > 0);
+        assert!(refuted > 0);
+    }
+
+    /// Two disjoint member sets with equal fingerprints.  The fingerprint
+    /// XORs per-member hashes, so it is linear over GF(2): the 65 singleton
+    /// fingerprints of `0..=64` are dependent in the 64-dimensional space,
+    /// and Gaussian elimination finds a set `D` whose fingerprints XOR to
+    /// zero.  Returns `(d₀, D \ {d₀})` with `d₀ = min D`.
+    fn fingerprint_collision() -> (u32, Vec<u32>) {
+        // basis[bit]: a reduced vector with leading bit `bit`, and the mask
+        // of singletons XORed into it.
+        let mut basis: [Option<(u64, u128)>; 64] = [None; 64];
+        for m in 0..=64u32 {
+            let (mut v, mut mask) = (subset_fingerprint(&[m]), 1u128 << m);
+            while v != 0 {
+                let bit = 63 - v.leading_zeros() as usize;
+                let Some((bv, bm)) = basis[bit] else {
+                    basis[bit] = Some((v, mask));
+                    break;
+                };
+                v ^= bv;
+                mask ^= bm;
+            }
+            if v == 0 {
+                let d: Vec<u32> = (0..=64).filter(|&i| mask >> i & 1 == 1).collect();
+                return (d[0], d[1..].to_vec());
+            }
+        }
+        unreachable!("65 vectors in a 64-dimensional space are dependent")
+    }
+
+    /// 65 states, each with an `a`-self-loop; `d₀` is the only accepting
+    /// state and the first member of `T` τ-reaches the rest of `T`, so the
+    /// start subsets of `d₀` and of `T[0]` are exactly the colliding sets.
+    fn collision_process(d0: u32, t: &[u32]) -> Fsp {
+        let mut b = Fsp::builder("collision");
+        let states: Vec<StateId> = (0..=64).map(|i| b.state(&format!("s{i}"))).collect();
+        let a = b.label("a");
+        for &s in &states {
+            b.add_transition(s, a, s);
+        }
+        let y = states[t[0] as usize];
+        for &m in &t[1..] {
+            b.add_transition(y, Label::Tau, states[m as usize]);
+        }
+        b.mark_accepting(states[d0 as usize]);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn colliding_fingerprints_spill_and_round_trip() {
+        let (d0, t) = fingerprint_collision();
+        assert!(t.len() >= 2);
+        assert_eq!(subset_fingerprint(&[d0]), subset_fingerprint(&t));
+        let f = collision_process(d0, &t);
+        let (mut auto, view) = arena(&f);
+        let s_id = auto.intern_subset(&view, &[d0]);
+        let t_id = auto.intern_subset(&view, &t);
+        assert_ne!(s_id, t_id);
+        assert!(!auto.intern_spill.is_empty());
+        assert_eq!(auto.subset(s_id), &[d0]);
+        assert_eq!(auto.subset(t_id), t.as_slice());
+        assert_eq!(auto.intern_subset(&view, &t), t_id);
+        assert_eq!(auto.intern_subset(&view, &[d0]), s_id);
+    }
+
+    #[test]
+    fn colliding_start_subsets_keep_their_verdicts() {
+        let (d0, t) = fingerprint_collision();
+        let f = collision_process(d0, &t);
+        let p = StateId::from_index(d0 as usize);
+        let y = StateId::from_index(t[0] as usize);
+        let (mut auto, view) = arena(&f);
+        let (sp, sy) = (auto.start(&view, p), auto.start(&view, y));
+        assert_eq!(auto.subset(sp), &[d0]);
+        assert_eq!(auto.subset(sy), t.as_slice());
+        let session = EquivSession::for_process(&f);
+        assert!(!session.equivalent_states(p, y, Equivalence::Language));
+        assert_eq!(
+            session.classify_all(Equivalence::Language).as_ref(),
+            &session.representative_scan_partition(Equivalence::Language)
+        );
     }
 
     #[test]
@@ -1057,61 +850,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The tentpole invariant of the representation split: dense-bitset and
-    /// sparse-run arenas intern identical ids in identical order, compute
-    /// identical transition tables, and classify identically — only the
-    /// byte layout differs.
-    #[test]
-    fn dense_and_sparse_reprs_build_identical_arenas() {
-        let f = format::parse(
-            "trans p tau q\ntrans q a r\ntrans r tau p\ntrans s a t\ntrans s tau s\n\
-             trans t b p\ntrans q b s\naccept r t",
-        )
-        .unwrap();
-        let closure = tau_closure(&f);
-        let view = SaturatedView::build(&f, &closure);
-        let mut dense = SubsetAutomaton::with_repr(&f, SubsetRepr::Dense);
-        let mut sparse = SubsetAutomaton::with_repr(&f, SubsetRepr::Sparse);
-        assert_eq!(dense.repr(), SubsetRepr::Dense);
-        assert_eq!(sparse.repr(), SubsetRepr::Sparse);
-        for s in f.state_ids() {
-            assert_eq!(dense.start(&view, s), sparse.start(&view, s), "{s}");
-        }
-        dense.explore(&view);
-        sparse.explore(&view);
-        assert_eq!(dense.num_subsets(), sparse.num_subsets());
-        assert_eq!(dense.transition_table(), sparse.transition_table());
-        for id in 0..narrow(dense.num_subsets()) {
-            assert_eq!(dense.subset(id), sparse.subset(id), "subset {id}");
-            assert_eq!(dense.enabled(id), sparse.enabled(id), "enabled {id}");
-            assert_eq!(dense.is_accepting(id), sparse.is_accepting(id));
-        }
-        for notion in [DetNotion::Language, DetNotion::Trace, DetNotion::Failure] {
-            assert_eq!(
-                dense.classes(&view, notion),
-                sparse.classes(&view, notion),
-                "{notion:?}"
-            );
-        }
-        // Sparse stores this small arena in fewer bytes than its old
-        // usize-list self would have; both stay honest about their footprint.
-        assert!(dense.resident_bytes() > 0);
-        assert!(sparse.resident_bytes() > 0);
-    }
-
-    #[test]
-    fn automatic_repr_choice_follows_the_ground_set() {
-        assert_eq!(SubsetRepr::choose(1), SubsetRepr::Dense);
-        assert_eq!(
-            SubsetRepr::choose(SubsetRepr::DENSE_MAX_STATES),
-            SubsetRepr::Dense
-        );
-        assert_eq!(
-            SubsetRepr::choose(SubsetRepr::DENSE_MAX_STATES + 1),
-            SubsetRepr::Sparse
-        );
     }
 
     #[test]

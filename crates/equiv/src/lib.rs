@@ -25,10 +25,20 @@
 //!
 //! Every notion is available two ways:
 //!
-//! * **Free functions** (`strong::strong_equivalent`,
-//!   `weak::weak_partition`, …) answer a single question and recompute every
-//!   derived artifact.  They now delegate to a throwaway session, so their
-//!   behaviour is unchanged but they share the streaming saturation path.
+//! * **Free functions** answer a single question and recompute every
+//!   derived artifact.  They come in three kinds:
+//!   - *Session delegates* open a throwaway session and ask it:
+//!     [`Query::between`] and [`Query::states`] (the entry points for one
+//!     question about any notion), the `weak` functions,
+//!     `kobs::kobs_partition_arena` and `onthefly::compare`.
+//!   - *Oracles* are independent per-pair checkers that the session's fast
+//!     engines are tested against: `language`, `traces` and `failures`
+//!     `*_equivalent[_states]` (one subset construction per pair), and
+//!     `kobs::kobs_equivalent[_states]` and `kobs::kobs_partition` (the
+//!     per-pair synchronized BFS per level).
+//!   - *Own-instance solvers* build and solve their instance without a
+//!     session: the `strong` functions (`strong::strong_partition_with`
+//!     runs any solver) and the `limited` hierarchy functions.
 //! * **[`EquivSession`]** owns one process and computes each artifact *once*
 //!   — the τ-closure, the saturated weak relation (streamed directly into
 //!   the `ccs-partition` CSR, never materialized as a second process), and

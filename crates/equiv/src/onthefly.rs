@@ -16,14 +16,17 @@
 //!   computes is memoized in the arena and reused by later queries, on-the-
 //!   fly or not),
 //! * prunes pairs up to the congruence of everything the session's
-//!   [`PairCache`] has already proven (Hopcroft–Karp union-find, the same
-//!   core as [`PairCache::equivalent`]),
-//! * stops at the **first** pair whose zero-step output classes differ,
+//!   [`PairCache`] has already proven (Hopcroft–Karp union-find),
+//! * stops at the **first** pair whose zero-step output classes differ and
 //!   reconstructs the distinguishing trace from its BFS provenance chain,
 //!   and
-//! * feeds the outcome back: a successful search commits its congruence, a
-//!   refutation records every ancestor pair on the witness path — partial
-//!   work is never wasted.
+//! * commits the congruence of a successful search back to the cache, so a
+//!   later query skips every pair already proven.
+//!
+//! This is the crate's only synchronized pair search: the session's
+//! [`equivalent_states`](EquivSession::equivalent_states) and small
+//! [`equivalent_pairs`](EquivSession::equivalent_pairs) batches run it too
+//! and drop the witness.
 //!
 //! The engine covers exactly the determinizable notions
 //! ([`DetNotion::of`]): language `≈₁`, trace, and failure `≡F` equivalence.
@@ -62,8 +65,7 @@
 use ccs_fsp::saturate::SaturatedView;
 use ccs_fsp::{ops, ActionId, Fsp};
 
-use crate::compact::narrow;
-use crate::determinize::{union, DetNotion, PairCache, SubsetAutomaton, SubsetId};
+use crate::determinize::{grow, union, DetNotion, PairCache, SubsetAutomaton, SubsetId};
 use crate::failures::{distinguishing_refusal, maximal_refusals, name_set};
 use crate::{EquivError, EquivSession, Equivalence};
 
@@ -120,19 +122,11 @@ pub struct OtfOutcome {
     pub stats: OtfStats,
 }
 
-/// Grows a speculative parent array to cover `n` ids.
-fn grow(parent: &mut Vec<u32>, n: usize) {
-    while parent.len() < n {
-        parent.push(narrow(parent.len()));
-    }
-}
-
 /// The BFS worklist search over the synchronized subset product.
 ///
 /// Invariants: `left`/`right` are interned start subsets of `auto`; `cache`
-/// belongs to the same arena and notion.  On refutation the returned
-/// witness's provenance chain has been recorded into `cache`; on success
-/// the speculative congruence has been committed.
+/// belongs to the same arena and notion.  On success the speculative
+/// congruence has been committed; a refutation leaves `cache` untouched.
 pub(crate) fn search(
     fsp: &Fsp,
     auto: &mut SubsetAutomaton,
@@ -156,10 +150,8 @@ pub(crate) fn search(
     }
     let steps_before = auto.steps_computed();
     // Speculative congruence: the committed one plus this search's merges.
-    // Refuted pairs are deliberately NOT used as an early exit here — a
-    // cached refutation carries no concrete suffix, and the arena is
-    // finite, so continuing the BFS always reaches a zero-step class
-    // difference and yields a replayable witness.
+    // The root pair is merged up front (as every pushed pair is) so a
+    // successful commit memoizes the queried pair itself.
     let mut uf = cache.speculative(auto.num_subsets());
     union(&mut uf, left, right);
     let mut pairs: Vec<(SubsetId, SubsetId)> = vec![(left, right)];
@@ -168,13 +160,6 @@ pub(crate) fn search(
     while head < pairs.len() {
         let (x, y) = pairs[head];
         if auto.classes_differ(view, notion, x, y) {
-            // Feed the refutation back: every ancestor on the provenance
-            // chain is inequivalent by the same suffix.
-            let mut cursor = Some(head);
-            while let Some(i) = cursor {
-                cache.record_refuted(pairs[i].0, pairs[i].1);
-                cursor = provenance[i].map(|(parent, _)| parent);
-            }
             let witness = build_witness(fsp, auto, view, notion, &pairs, &provenance, head);
             return OtfOutcome {
                 equivalent: false,
@@ -217,7 +202,7 @@ pub(crate) fn search(
 /// BFS provenance chain.
 fn build_witness(
     fsp: &Fsp,
-    auto: &mut SubsetAutomaton,
+    auto: &SubsetAutomaton,
     view: &SaturatedView,
     notion: DetNotion,
     pairs: &[(SubsetId, SubsetId)],
@@ -244,8 +229,8 @@ fn build_witness(
                 // the side that has it and of nothing on the other.
                 Some(Vec::new())
             } else {
-                let rx = maximal_refusals(view, &auto.subset(x));
-                let ry = maximal_refusals(view, &auto.subset(y));
+                let rx = maximal_refusals(view, auto.subset(x));
+                let ry = maximal_refusals(view, auto.subset(y));
                 let set = distinguishing_refusal(&rx, &ry)
                     .or_else(|| distinguishing_refusal(&ry, &rx))
                     .unwrap_or_default();

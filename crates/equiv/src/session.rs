@@ -27,8 +27,10 @@
 //! run on the shared [determinization layer](crate::determinize): one
 //! memoized, interned subset automaton per session serves whole-space
 //! classification (all `n` start subsets determinized into one product DFA,
-//! classified by one partition refinement), individual pair queries (a
-//! congruence-pruned synchronized search with a persistent pair cache), and
+//! classified by one partition refinement), individual pair queries (the
+//! [`onthefly`] search, pruned by a persistent proven congruence per
+//! notion — [`EquivSession::on_the_fly`], [`EquivSession::equivalent_states`]
+//! and small [`EquivSession::equivalent_pairs`] batches all run it), and
 //! the `≈ₖ` hierarchy (each level refines the same arena re-seeded with the
 //! previous level's class-set signatures — a whole `k = 1..K` sweep explores
 //! once).  The pre-determinization paths survive as oracles:
@@ -77,8 +79,11 @@
 //!
 //! # When to prefer a session
 //!
-//! Use the free functions for a single question about a pair of processes.
-//! Use a session when several queries target the same state space: batched
+//! Ask a single question about two processes with
+//! [`Query::between`](crate::Query::between), or about two states of one
+//! process with [`Query::states`](crate::Query::states): both open a
+//! throwaway session, so they answer exactly as a held session would.
+//! Hold a session when several queries target the same state space: batched
 //! pair queries ([`EquivSession::equivalent_pairs`]), whole-space
 //! classification ([`EquivSession::classify_all`]), or the same process
 //! interrogated under several notions (the τ-closure and saturated CSR are
@@ -97,6 +102,7 @@ use ccs_partition::{incremental, solve, Algorithm, GraphBuilder, Instance, Parti
 use crate::check::Equivalence;
 use crate::determinize::{self, DetNotion, PairCache, SubsetAutomaton};
 use crate::limited::{self, LimitedHierarchy};
+use crate::onthefly::{self, OtfOutcome};
 use crate::EquivError;
 use crate::{failures, kobs, language, strong, traces};
 
@@ -483,9 +489,9 @@ impl EquivSession {
 
     /// One pair query through the determinization layer: the two ε-closure
     /// start subsets are looked up in (or added to) the shared arena and the
-    /// notion's [`PairCache`] runs its congruence-pruned synchronized
-    /// search, reusing every verdict the session has already established.
-    fn det_pair_equivalent(&self, notion: DetNotion, p: StateId, q: StateId) -> bool {
+    /// [`onthefly`] search runs over them, pruned by the notion's
+    /// [`PairCache`].  Every pair-query entry point lands here.
+    fn det_search(&self, notion: DetNotion, p: StateId, q: StateId) -> OtfOutcome {
         let view = self.saturated_view();
         let mut state = self.det.lock().expect("det lock poisoned");
         let DetState {
@@ -495,21 +501,21 @@ impl EquivSession {
         let auto = automaton.get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
         let cache = pair_caches.entry(notion).or_default();
         let (left, right) = (auto.start(view, p), auto.start(view, q));
-        cache.equivalent(auto, view, notion, left, right)
+        onthefly::search(&self.fsp, auto, view, cache, notion, left, right)
     }
 
     /// On-the-fly pair check with witness and exploration stats: the
-    /// [`onthefly`](crate::onthefly) BFS worklist over the session's shared
-    /// subset arena and [`PairCache`], stopping at the first distinguishing
-    /// pair and reconstructing its trace.
+    /// [`onthefly`] BFS worklist over the session's shared subset arena and
+    /// [`PairCache`], stopping at the first distinguishing pair and
+    /// reconstructing its trace.
     ///
     /// The verdict always agrees with [`EquivSession::equivalent_states`];
     /// what this entry point adds is the replayable
     /// [`OtfWitness`](crate::onthefly::OtfWitness) on refutation and the
     /// [`OtfStats`](crate::onthefly::OtfStats) counters, without forcing
     /// the full determinized partition.  Everything the search learns —
-    /// arena subsets, lazy transitions, proven/refuted pairs — lands in the
-    /// session caches and accelerates later queries of any kind.
+    /// arena subsets, lazy transitions, proven pairs — lands in the session
+    /// caches and accelerates later queries of any kind.
     ///
     /// # Errors
     ///
@@ -521,40 +527,29 @@ impl EquivSession {
         notion: Equivalence,
         p: StateId,
         q: StateId,
-    ) -> Result<crate::onthefly::OtfOutcome, EquivError> {
+    ) -> Result<OtfOutcome, EquivError> {
         let det = DetNotion::of(notion).ok_or_else(|| EquivError::ModelMismatch {
             expected: format!(
                 "a determinizable notion (language, trace, failure) for the \
                  on-the-fly engine; {notion} is decided by partition refinement"
             ),
         })?;
-        let view = self.saturated_view();
-        let mut state = self.det.lock().expect("det lock poisoned");
-        let DetState {
-            automaton,
-            pair_caches,
-        } = &mut *state;
-        let auto = automaton.get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-        let cache = pair_caches.entry(det).or_default();
-        let (left, right) = (auto.start(view, p), auto.start(view, q));
-        Ok(crate::onthefly::search(
-            &self.fsp, auto, view, cache, det, left, right,
-        ))
+        Ok(self.det_search(det, p, q))
     }
 
     /// Tests whether two states are related by `notion`.
     ///
     /// Refinement-backed notions answer from the memoized partition; the
-    /// PSPACE notions answer from the memoized pair cache over the shared
-    /// subset arena (or a two-array lookup once a batch has forced the full
-    /// determinized partition).
+    /// PSPACE notions run the on-the-fly pair search over the shared subset
+    /// arena and drop its witness (or do a two-array lookup once a batch
+    /// has forced the full determinized partition).
     pub fn equivalent_states(&self, p: StateId, q: StateId, notion: Equivalence) -> bool {
         match DetNotion::of(notion) {
             Some(det) => {
                 if let Some(partition) = self.cached_partition(notion) {
                     return partition.same_block(p.index(), q.index());
                 }
-                self.det_pair_equivalent(det, p, q)
+                self.det_search(det, p, q).equivalent
             }
             None => self.classify_all(notion).same_block(p.index(), q.index()),
         }
@@ -566,17 +561,17 @@ impl EquivSession {
     ///
     /// Exception: for the PSPACE notions (`Language`, `Trace`, `Failure`) a
     /// *small* batch — fewer pairs than states, with no partition cached
-    /// yet — is answered pair by pair through the antichain-pruned
-    /// [`PairCache`], since full classification determinizes from every
-    /// state and would dwarf the batch; the per-pair searches still share
-    /// the session's one subset arena and memoize their verdicts.
+    /// yet — is answered pair by pair by the on-the-fly search, since full
+    /// classification determinizes from every state and would dwarf the
+    /// batch; the per-pair searches still share the session's one subset
+    /// arena and its proven congruence.
     pub fn equivalent_pairs(&self, notion: Equivalence, pairs: &[(StateId, StateId)]) -> Vec<bool> {
         let cached = self.cached_partition(notion).is_some();
         if let Some(det) = DetNotion::of(notion) {
             if !cached && pairs.len() < self.fsp.num_states() {
                 return pairs
                     .iter()
-                    .map(|&(p, q)| self.det_pair_equivalent(det, p, q))
+                    .map(|&(p, q)| self.det_search(det, p, q).equivalent)
                     .collect();
             }
         }

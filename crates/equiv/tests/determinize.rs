@@ -8,7 +8,7 @@
 //! one-arena `≈ₖ` engine's oracle tests live in the root
 //! `tests/arena_determinism.rs`.
 
-use ccs_equiv::determinize::{determinized_partition, DetNotion, SubsetAutomaton, SubsetRepr};
+use ccs_equiv::determinize::{DetNotion, SubsetAutomaton};
 use ccs_equiv::{EquivSession, Equivalence};
 use ccs_fsp::saturate::{tau_closure, SaturatedView};
 use ccs_fsp::Fsp;
@@ -87,70 +87,8 @@ fn every_solver_classifies_the_blowup_family_identically() {
     }
 }
 
-/// The member-representation split must be invisible everywhere above the
-/// byte layout: dense-bitset and sparse-run arenas intern the same ids in
-/// the same order, compute the same transition table, and classify every
-/// notion identically.
-fn assert_reprs_agree(fsp: &Fsp, label: &str) {
-    let closure = tau_closure(fsp);
-    let view = SaturatedView::build(fsp, &closure);
-    let mut dense = SubsetAutomaton::with_repr(fsp, SubsetRepr::Dense);
-    let mut sparse = SubsetAutomaton::with_repr(fsp, SubsetRepr::Sparse);
-    for s in fsp.state_ids() {
-        assert_eq!(
-            dense.start(&view, s),
-            sparse.start(&view, s),
-            "{label}: {s}"
-        );
-    }
-    dense.explore(&view);
-    sparse.explore(&view);
-    assert_eq!(dense.num_subsets(), sparse.num_subsets(), "{label}");
-    assert_eq!(
-        dense.transition_table(),
-        sparse.transition_table(),
-        "{label}"
-    );
-    for id in 0..u32::try_from(dense.num_subsets()).unwrap() {
-        assert_eq!(dense.subset(id), sparse.subset(id), "{label}: subset {id}");
-    }
-    for notion in [DetNotion::Language, DetNotion::Trace, DetNotion::Failure] {
-        let mut d = SubsetAutomaton::with_repr(fsp, SubsetRepr::Dense);
-        let mut s = SubsetAutomaton::with_repr(fsp, SubsetRepr::Sparse);
-        assert_eq!(
-            determinized_partition(&mut d, &view, notion, fsp.num_states()),
-            determinized_partition(&mut s, &view, notion, fsp.num_states()),
-            "{label}: {notion:?}"
-        );
-    }
-}
-
-#[test]
-fn dense_and_sparse_reprs_agree_on_the_blowup_family() {
-    for (n, w) in [(6usize, 2usize), (14, 3), (24, 4)] {
-        assert_reprs_agree(&families::det_blowup(n, w), "blowup");
-    }
-    assert_reprs_agree(&families::tau_chain(9), "tau-chain");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Bitset and sorted-run subset interning build identical arenas and
-    /// identical verdicts on random processes.
-    #[test]
-    fn dense_and_sparse_reprs_agree_on_random_processes(
-        states in 2usize..10,
-        seed in 0u64..300,
-        tau in 0usize..2,
-    ) {
-        let fsp = random::random_fsp(&RandomConfig {
-            tau_ratio: if tau == 1 { 0.3 } else { 0.0 },
-            accept_ratio: 0.5,
-            ..RandomConfig::sized(states, seed)
-        });
-        assert_reprs_agree(&fsp, "random");
-    }
 
     /// Random processes, general and restricted: the determinized engine
     /// and the representative scan agree on all three notions at every
@@ -175,8 +113,8 @@ proptest! {
         }
     }
 
-    /// Pair queries through the memoized pair cache agree with the
-    /// determinized partition and with the one-shot free functions.
+    /// Pair queries through the on-the-fly search agree with the
+    /// determinized partition.
     #[test]
     fn pair_cache_agrees_with_classification(
         states in 2usize..8,
@@ -188,7 +126,7 @@ proptest! {
             ..RandomConfig::sized(states, seed)
         });
         for notion in NOTIONS {
-            // Fresh session: pair queries go through the PairCache.
+            // Fresh session: pair queries go through the on-the-fly search.
             let pair_session = EquivSession::for_process(&fsp);
             let mut answers = Vec::new();
             for p in fsp.state_ids() {
