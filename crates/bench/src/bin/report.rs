@@ -20,7 +20,8 @@ use std::time::Instant;
 use ccs_bench::{equivalent_pair, general_process, standard_process};
 use ccs_equiv::{failures, kobs, strong, weak, EquivSession, Equivalence};
 use ccs_expr::{construct, parse};
-use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, DeltaRefiner, Dfa, EdgeDelta};
+use ccs_partition::incremental::{refine_delta, DeltaPath};
+use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, Dfa};
 use ccs_workloads::{families, mutating_queries, queries};
 
 fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -273,11 +274,11 @@ fn delta_incremental_maintenance() {
         "\n== DELTA: incremental partition maintenance — delta-refine vs from-scratch rebuild =="
     );
     println!(
-        "   (mutating_queries gadget stream: per batch, DeltaRefiner::apply repairs the last\n    \
-         stable partition — seeded splitter worklist, certificate check, quotient fallback —\n    \
-         vs solving the mutated instance from scratch; i/q/f = incremental /\n    \
-         quotient-rebuild / full-rebuild batch counts; every batch asserts block-for-block\n    \
-         agreement with the from-scratch oracle)"
+        "   (mutating_queries gadget stream: per batch, Instance::apply_delta + refine_delta —\n    \
+         the session's production path — repair the last stable partition (seeded splitter\n    \
+         worklist, certificate check, quotient fallback) vs solving the mutated instance from\n    \
+         scratch; i/q/f = incremental / quotient-rebuild / full-rebuild batch counts; every\n    \
+         batch asserts block-for-block agreement with the from-scratch oracle)"
     );
     println!(
         "{:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>9}",
@@ -293,31 +294,33 @@ fn delta_incremental_maintenance() {
     for &n in &[256usize, 1024, 4096] {
         for &edits in &[1usize, 4] {
             let copies = n / mutating_queries::GADGET_STATES;
-            let (inst, batches) = mutating_queries::mutating_instance(copies, BATCHES, edits, 42);
-            let mut refiner = DeltaRefiner::new(inst, Algorithm::PaigeTarjan);
+            let (mut inst, batches) =
+                mutating_queries::mutating_instance(copies, BATCHES, edits, 42);
+            let mut partition = solve(&inst, Algorithm::PaigeTarjan);
+            let mut paths = Vec::with_capacity(batches.len());
             let (mut t_delta, mut t_rebuild) = (0.0f64, 0.0f64);
             for batch in &batches {
-                let delta = EdgeDelta {
-                    additions: batch.additions.clone(),
-                    removals: batch.removals.clone(),
-                };
-                let (_path, t) = time_ms(|| refiner.apply(&delta));
+                let ((next, path), t) = time_ms(|| {
+                    let (added, removed) = inst.apply_delta(&batch.additions, &batch.removals);
+                    refine_delta(&inst, &partition, &added, &removed)
+                });
                 t_delta += t;
-                let (oracle, t) = time_ms(|| solve(refiner.instance(), Algorithm::PaigeTarjan));
+                let (oracle, t) = time_ms(|| solve(&inst, Algorithm::PaigeTarjan));
                 t_rebuild += t;
                 assert_eq!(
-                    refiner.partition(),
-                    &oracle,
+                    next, oracle,
                     "delta-refined partition diverged from the from-scratch oracle"
                 );
                 assert!(
-                    refiner.instance().is_consistent_stable(refiner.partition()),
+                    inst.is_consistent_stable(&next),
                     "delta-refined partition is not a stable refinement"
                 );
+                partition = next;
+                paths.push(path);
             }
             // The path mix is seed-deterministic, so it is part of the
             // tracked snapshot, unlike the timings around it.
-            let stats = refiner.stats();
+            let count = |want: DeltaPath| paths.iter().filter(|&&p| p == want).count();
             println!(
                 "{:>8} {:>8} {:>8} {:>8} {:>12.2} {:>12.2} {:>9.1}",
                 "gadgets",
@@ -325,7 +328,9 @@ fn delta_incremental_maintenance() {
                 edits,
                 format!(
                     "{}/{}/{}",
-                    stats.incremental, stats.quotient_rebuilds, stats.full_rebuilds
+                    count(DeltaPath::Incremental),
+                    count(DeltaPath::QuotientRebuild),
+                    count(DeltaPath::FullRebuild)
                 ),
                 t_delta,
                 t_rebuild,

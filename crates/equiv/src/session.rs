@@ -48,8 +48,8 @@
 //!
 //! Every query method takes `&self`: the lazy caches live behind
 //! [`OnceLock`]s (the big immutable artifacts) and [`Mutex`]es (the
-//! grow-on-demand ones — the subset arena, the pair caches, the `≃ₖ`
-//! hierarchy), so a built session is [`Sync`] and can be shared via
+//! grow-on-demand ones — the subset arena, the pair caches and the
+//! partition memo), so a built session is [`Sync`] and can be shared via
 //! [`Arc`] across worker threads.  This is what the `ccs-server` crate
 //! serves concurrent clients from: one resident session, many threads.
 //!
@@ -101,7 +101,7 @@ use ccs_partition::{incremental, solve, Algorithm, GraphBuilder, Instance, Parti
 
 use crate::check::Equivalence;
 use crate::determinize::{self, DetNotion, PairCache, SubsetAutomaton};
-use crate::limited::{self, LimitedHierarchy};
+use crate::limited;
 use crate::onthefly::{self, OtfOutcome};
 use crate::EquivError;
 use crate::{failures, kobs, language, strong, traces};
@@ -176,8 +176,6 @@ pub struct EquivSession {
     view: OnceLock<SaturatedView>,
     strong_instance: OnceLock<Instance>,
     weak_instance: OnceLock<Instance>,
-    /// `(rounds it was computed with, hierarchy)` — see `ensure_limited`.
-    limited: Mutex<Option<(usize, Arc<LimitedHierarchy>)>>,
     /// The shared memoized subset automaton of the determinization layer
     /// plus the per-notion pair caches (built lazily; serves
     /// Language/Trace/Failure classification and pair queries alike).
@@ -204,7 +202,6 @@ impl EquivSession {
             view: OnceLock::new(),
             strong_instance: OnceLock::new(),
             weak_instance: OnceLock::new(),
-            limited: Mutex::new(None),
             det: Mutex::new(DetState::default()),
             partitions: Mutex::new(HashMap::new()),
             refinements: AtomicUsize::new(0),
@@ -260,10 +257,6 @@ impl EquivSession {
     /// `Σ ∪ {ε}` streamed directly into the partition core's CSR builder —
     /// no intermediate saturated process — with the extension-set initial
     /// partition.  Computed once.
-    ///
-    /// If the [`SaturatedView`] is already cached its columns are copied
-    /// into the builder (an `O(m̂)` slice walk); the expensive closure
-    /// products of [`weak_edges`] run only when neither artifact exists yet.
     pub fn weak_instance(&self) -> &Instance {
         self.weak_instance.get_or_init(|| {
             let closure = self.tau_closure();
@@ -274,62 +267,19 @@ impl EquivSession {
                 eps + 1,
                 fsp.num_states() + fsp.num_transitions(),
             );
-            if let Some(view) = self.view.get() {
-                for p in fsp.state_ids() {
-                    for a in fsp.action_ids() {
-                        builder.extend_edges(
-                            view.successors(p, a)
-                                .iter()
-                                .map(|q| (a.index(), p.index(), q.index())),
-                        );
-                    }
-                    builder.extend_edges(
-                        view.epsilon_successors(p)
-                            .iter()
-                            .map(|q| (eps, p.index(), q.index())),
-                    );
-                }
-            } else {
-                builder.extend_edges(weak_edges(fsp, closure).map(|e| {
-                    (
-                        e.action.map_or(eps, ActionId::index),
-                        e.from.index(),
-                        e.to.index(),
-                    )
-                }));
-            }
+            builder.extend_edges(weak_edges(fsp, closure).map(|e| {
+                (
+                    e.action.map_or(eps, ActionId::index),
+                    e.from.index(),
+                    e.to.index(),
+                )
+            }));
             let mut inst = Instance::from_graph(builder.build());
             for (s, block) in strong::extension_assignment(fsp).into_iter().enumerate() {
                 inst.set_initial_block(s, block);
             }
             inst
         })
-    }
-
-    /// Ensures the cached `≃ₖ` hierarchy is valid for level `rounds` and
-    /// returns it: either it already converged, or it was computed with at
-    /// least that many refinement rounds.  One-shot `Limited(k)` queries
-    /// therefore stop after `k` rounds (matching the free function) instead
-    /// of running to convergence.
-    fn ensure_limited(&self, rounds: usize) -> Arc<LimitedHierarchy> {
-        let mut slot = self.limited.lock().expect("limited lock poisoned");
-        if let Some((computed, hierarchy)) = slot.as_ref() {
-            let converged = hierarchy.convergence_round() < *computed;
-            if converged || *computed >= rounds {
-                return Arc::clone(hierarchy);
-            }
-        }
-        let view = self.saturated_view();
-        let hierarchy = Arc::new(limited::hierarchy_from_view(&self.fsp, view, rounds));
-        *slot = Some((rounds, Arc::clone(&hierarchy)));
-        hierarchy
-    }
-
-    /// The full `≃ₖ` refinement sequence up to convergence (computed at
-    /// most once from the shared saturated view; bounded prefixes built for
-    /// `Limited(k)` queries are extended on demand).
-    pub fn limited_hierarchy(&self) -> Arc<LimitedHierarchy> {
-        self.ensure_limited(usize::MAX)
     }
 
     /// Size of the session's shared subset arena: 0 until some PSPACE query
@@ -373,13 +323,19 @@ impl EquivSession {
     /// as Theorem 4.1(b)/5.1 demand — but paid once per subset, not once
     /// per pair (or per pair per level).
     pub fn classify_all(&self, notion: Equivalence) -> Arc<Partition> {
+        self.memoized(notion, || self.compute_partition(notion))
+    }
+
+    /// The single-flight memo slot for `notion`: returns the cached
+    /// partition, or runs `compute` once while racing callers wait.
+    fn memoized(&self, notion: Equivalence, compute: impl FnOnce() -> Partition) -> Arc<Partition> {
         let cell = {
             let mut map = self.partitions.lock().expect("partitions lock poisoned");
             Arc::clone(map.entry(notion).or_default())
         };
         Arc::clone(cell.get_or_init(|| {
             self.refinements.fetch_add(1, Ordering::Relaxed);
-            Arc::new(self.compute_partition(notion))
+            Arc::new(compute())
         }))
     }
 
@@ -393,24 +349,31 @@ impl EquivSession {
         match notion {
             Equivalence::Strong => solve(self.strong_instance(), Algorithm::PaigeTarjan),
             Equivalence::Observational => solve(self.weak_instance(), Algorithm::PaigeTarjan),
-            Equivalence::Limited(k) => self.ensure_limited(k).level(k).clone(),
+            Equivalence::Limited(k) => {
+                limited::hierarchy_from_view(&self.fsp, self.saturated_view(), k)
+                    .level(k)
+                    .clone()
+            }
             Equivalence::KObservational(k) => {
                 if k == 0 {
                     return Partition::from_assignment(&strong::extension_assignment(&self.fsp));
                 }
-                // Walk the levels bottom-up so every one lands in the cache
-                // (and deep levels never recurse more than one step).  Each
-                // level rides the session's shared subset arena: the
-                // exploration is memoized, so a k = 1..K sweep explores
-                // once and every further level is one signature pass plus
-                // one refinement of the re-seeded subset DFA.
-                let prev = self.classify_all(Equivalence::KObservational(k - 1));
-                let view = self.saturated_view();
-                let mut state = self.det.lock().expect("det lock poisoned");
-                let auto = state
-                    .automaton
-                    .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-                kobs::arena_level(auto, view, self.fsp.num_states(), &prev)
+                // Walk the levels bottom-up in a loop, so every one lands in
+                // the memo and no `k` recurses.  Each level is a function of
+                // the previous one, so the first level equal to its
+                // predecessor is the fixpoint of the hierarchy and answers
+                // every deeper `k` as it is.
+                let mut prev = self.classify_all(Equivalence::KObservational(0));
+                for level in 1..k {
+                    let next = self.memoized(Equivalence::KObservational(level), || {
+                        self.kobs_level(&prev)
+                    });
+                    if next == prev {
+                        return next.as_ref().clone();
+                    }
+                    prev = next;
+                }
+                self.kobs_level(&prev)
             }
             Equivalence::Language | Equivalence::Trace | Equivalence::Failure => {
                 let det = DetNotion::of(notion).expect("matched a determinizable notion");
@@ -422,6 +385,19 @@ impl EquivSession {
                 determinize::determinized_partition(auto, view, det, self.fsp.num_states())
             }
         }
+    }
+
+    /// One `≈ₖ` level from its predecessor.  Every level rides the
+    /// session's shared subset arena: the exploration is memoized, so a
+    /// `k = 1..K` sweep explores once and every further level is one
+    /// signature pass plus one refinement of the re-seeded subset DFA.
+    fn kobs_level(&self, prev: &Partition) -> Partition {
+        let view = self.saturated_view();
+        let mut state = self.det.lock().expect("det lock poisoned");
+        let auto = state
+            .automaton
+            .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
+        kobs::arena_level(auto, view, self.fsp.num_states(), prev)
     }
 
     /// The pre-determinization classification of the PSPACE notions, kept as
@@ -611,12 +587,12 @@ impl EquivSession {
     ///   that τ-reach an edited source; their old rows are captured before
     ///   the mutation and diffed against the recomputed ones.
     /// * **Weak-redundant batches keep everything.**  If no weak row
-    ///   changed, the saturated view, the weak instance, the `≃ₖ`
-    ///   hierarchy, the subset arena and every non-strong partition are
-    ///   bit-for-bit still correct and stay put.
+    ///   changed, the saturated view, the weak instance, the subset arena
+    ///   and every non-strong partition are bit-for-bit still correct and
+    ///   stay put.
     /// * **Dirty rows are respliced, not rebuilt.**  Otherwise the view is
     ///   [patched](SaturatedView::patched) in place, the weak CSR takes the
-    ///   row diff as a pending delta, and cached `Strong`/`Observational`
+    ///   row diff in one relayout, and cached `Strong`/`Observational`
     ///   partitions are delta-refined through
     ///   [`incremental::refine_delta`] — certificate-checked, so the result
     ///   is the coarsest solution, never an approximation.
@@ -642,31 +618,9 @@ impl EquivSession {
         additions: &[(StateId, Label, StateId)],
         removals: &[(StateId, Label, StateId)],
     ) -> SessionDeltaOutcome {
-        for &(from, label, to) in additions.iter().chain(removals) {
-            assert!(self.fsp.contains_state(from), "source state out of range");
-            assert!(self.fsp.contains_state(to), "target state out of range");
-            if let Label::Act(a) = label {
-                assert!(a.index() < self.fsp.num_actions(), "action out of range");
-            }
-        }
         // Effective edits, computed read-only so the pre-mutation weak rows
-        // can still be captured below.  Removals lose ties to additions,
-        // mirroring `Fsp::apply_edge_delta`.
-        let mut eff_removed: Vec<(StateId, Label, StateId)> = removals
-            .iter()
-            .copied()
-            .filter(|e| !additions.contains(e))
-            .filter(|&(f, l, t)| self.fsp.has_transition(f, l, t))
-            .collect();
-        eff_removed.sort_unstable();
-        eff_removed.dedup();
-        let mut eff_added: Vec<(StateId, Label, StateId)> = additions
-            .iter()
-            .copied()
-            .filter(|&(f, l, t)| !self.fsp.has_transition(f, l, t))
-            .collect();
-        eff_added.sort_unstable();
-        eff_added.dedup();
+        // can still be captured below.
+        let (eff_added, eff_removed) = self.fsp.effective_edits(additions, removals);
         let mut outcome = SessionDeltaOutcome {
             effective_additions: eff_added.len(),
             effective_removals: eff_removed.len(),
@@ -689,11 +643,6 @@ impl EquivSession {
         let closure_live = self.closure.get().is_some();
         let weak_live = self.view.get().is_some()
             || self.weak_instance.get().is_some()
-            || self
-                .limited
-                .get_mut()
-                .expect("limited lock poisoned")
-                .is_some()
             || self
                 .det
                 .get_mut()
@@ -739,7 +688,7 @@ impl EquivSession {
             None
         };
 
-        self.fsp.apply_edge_delta(additions, removals);
+        self.fsp.apply_edge_delta(&eff_added, &eff_removed);
 
         // Strong side: the Lemma 3.1 instance mirrors the direct relation
         // edge for edge, so the effective sets map straight onto it.  The
@@ -792,7 +741,6 @@ impl EquivSession {
             self.closure = OnceLock::new();
             self.view = OnceLock::new();
             self.weak_instance = OnceLock::new();
-            *self.limited.get_mut().expect("limited lock poisoned") = None;
             let det = self.det.get_mut().expect("det lock poisoned");
             outcome.arena_dropped = det.automaton.is_some();
             *det = DetState::default();
@@ -838,7 +786,6 @@ impl EquivSession {
                         .set(inst)
                         .expect("weak instance slot just emptied");
                 }
-                *self.limited.get_mut().expect("limited lock poisoned") = None;
                 let det = self.det.get_mut().expect("det lock poisoned");
                 if let Some(auto) = det.automaton.as_ref() {
                     let in_cone = backward_reach(&self.fsp, &eff_removed, &dirty);
@@ -873,14 +820,8 @@ impl EquivSession {
                 Equivalence::Strong => {
                     if strong_updated {
                         let inst = self.strong_instance.get().expect("updated in place");
-                        let (next, _path) = incremental::refine_delta(
-                            inst,
-                            &prev,
-                            &strong_adds,
-                            &strong_removes,
-                            Algorithm::PaigeTarjan,
-                            incremental::DEFAULT_THRESHOLD,
-                        );
+                        let (next, _path) =
+                            incremental::refine_delta(inst, &prev, &strong_adds, &strong_removes);
                         Some(next)
                     } else {
                         None
@@ -899,14 +840,8 @@ impl EquivSession {
                     }
                     WeakFate::Updated if self.weak_instance.get().is_some() => {
                         let inst = self.weak_instance.get().expect("updated in place");
-                        let (next, _path) = incremental::refine_delta(
-                            inst,
-                            &prev,
-                            &weak_adds,
-                            &weak_removes,
-                            Algorithm::PaigeTarjan,
-                            incremental::DEFAULT_THRESHOLD,
-                        );
+                        let (next, _path) =
+                            incremental::refine_delta(inst, &prev, &weak_adds, &weak_removes);
                         Some(next)
                     }
                     _ => None,
@@ -945,10 +880,8 @@ impl EquivSession {
 
     /// Resident size of the session in bytes: the process itself plus every
     /// cache the session has materialized so far, each measured from its
-    /// live container capacities (`resident_bytes` on the artifact).  The
-    /// instance figures include any pending-delta edge buffers a recent
-    /// [`EquivSession::apply_delta`] left unmerged.  Used by the
-    /// `ccs-server` registry for LRU byte accounting and by the `mem`
+    /// live container capacities (`resident_bytes` on the artifact).  Used
+    /// by the `ccs-server` registry for LRU byte accounting and by the `mem`
     /// report table.  Allocator slack and per-allocation headers are not
     /// counted, so the figure is a measured lower bound on allocator truth —
     /// but an honest count of what the structures hold, not an element-count
@@ -967,9 +900,6 @@ impl EquivSession {
             .flatten()
         {
             bytes += inst.resident_bytes();
-        }
-        if let Some((_, hierarchy)) = self.limited.lock().expect("limited lock poisoned").as_ref() {
-            bytes += hierarchy.resident_bytes();
         }
         {
             let det = self.det.lock().expect("det lock poisoned");
@@ -1123,7 +1053,7 @@ mod tests {
     }
 
     /// The session must also agree with the legacy pipeline when the view
-    /// is built first and the weak instance is derived from its columns.
+    /// is built before the weak instance streams its edges.
     #[test]
     fn weak_instance_derived_from_cached_view_matches_legacy() {
         let f = format::parse(
@@ -1131,7 +1061,7 @@ mod tests {
         )
         .unwrap();
         let session = EquivSession::for_process(&f);
-        session.saturated_view(); // force the view-copy path of weak_instance
+        session.saturated_view(); // a cached view must not change the weak instance
         let from_session = session.classify_all(Equivalence::Observational);
         let legacy = crate::strong::strong_partition(&ccs_fsp::saturate::saturate(&f).fsp);
         assert_eq!(from_session.as_ref(), legacy.partition());
@@ -1196,6 +1126,19 @@ mod tests {
         let _ = session.classify_all(Equivalence::KObservational(2));
         // Levels 0, 1 and 2 are all memoized.
         assert_eq!(session.cached_partitions(), 3);
+    }
+
+    /// A deep `≈ₖ` request walks the levels in a loop and stops at the
+    /// hierarchy's fixpoint: its stack depth does not grow with `k`, and
+    /// the memo holds one entry per level up to the fixpoint, plus `k`.
+    #[test]
+    fn deep_kobs_requests_stop_at_the_fixpoint() {
+        let f = format::parse("trans p a q\ntrans q b r\ntrans q c s\naccept s").unwrap();
+        let n = f.num_states();
+        let session = EquivSession::for_process(&f);
+        let deep = session.classify_all(Equivalence::KObservational(1_000_000));
+        assert_eq!(deep.as_ref(), &kobs::kobs_partition(&f, n + 1));
+        assert!(session.cached_partitions() <= n + 3);
     }
 
     #[test]
@@ -1283,6 +1226,11 @@ mod tests {
                 "level {k}"
             );
         }
+        // Deep levels stop at convergence and answer with the limit.
+        assert_eq!(
+            session.classify_all(Equivalence::Limited(1_000)).as_ref(),
+            crate::limited::limited_hierarchy(&f).limit()
+        );
     }
 
     /// The arena diagnostics only read: on a fresh session they report 0
@@ -1460,14 +1408,30 @@ mod tests {
         let f = format::parse("trans p a q\ntrans r a s\ntrans t a u").unwrap();
         let mut session = EquivSession::for_process(&f);
         session.classify_all(Equivalence::Strong);
-        let before = session.approx_resident_bytes();
-        // A class-redundant addition: the strong instance buffers it as a
-        // pending delta, which the byte accounting must include.
+        let edges = session.strong_instance().num_edges();
+        // A class-redundant addition: the strong instance is kept and laid
+        // out again with one more edge — no pending-edge buffer is left
+        // behind — and the byte accounting counts the edited layout.
         let outcome = session.apply_delta(&[edge(session.fsp(), "p", Some("a"), "s")], &[]);
         assert_eq!(outcome.effective_additions, 1);
+        assert_eq!(outcome.partitions_delta_refined, 1);
+        let edited = session
+            .strong_instance
+            .get()
+            .expect("kept across the delta");
+        assert_eq!(edited.num_edges(), edges + 1);
+        assert_eq!(
+            edited.resident_bytes(),
+            edited.graph().resident_bytes() + std::mem::size_of_val(edited.initial_blocks()),
+            "nothing pending beside the layout"
+        );
+        let strong = session.classify_all(Equivalence::Strong);
         assert!(
-            session.approx_resident_bytes() > before,
-            "pending-delta buffers count toward the resident figure"
+            session.approx_resident_bytes()
+                >= session.fsp().resident_bytes()
+                    + edited.resident_bytes()
+                    + strong.resident_bytes(),
+            "the edited instance counts toward the resident figure"
         );
         assert_matches_fresh(&session);
     }

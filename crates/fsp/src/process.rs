@@ -9,7 +9,8 @@ use crate::state::StateId;
 use crate::ACCEPT_VAR;
 
 /// A list of transitions as `(from, label, to)` triples — the currency of
-/// [`Fsp::apply_edge_delta`] and the session-level mutation path.
+/// [`Fsp::effective_edits`], [`Fsp::apply_edge_delta`] and the
+/// session-level mutation path.
 pub type EdgeBatch = Vec<(StateId, Label, StateId)>;
 
 /// A single transition `(label, target)` out of some source state.
@@ -379,11 +380,51 @@ impl Fsp {
         crate::model::profile(self)
     }
 
-    /// Applies an edge batch in place — `removals` first, then `additions`,
-    /// so a transition named on both sides ends up present — and returns
-    /// the *effective* edits: the transitions genuinely inserted and
-    /// genuinely deleted (duplicates, already-present additions and absent
-    /// removals are silent no-ops).
+    /// The *effective* edits of an edge batch against the current process,
+    /// computed without applying it: `(added, removed)`, the transitions the
+    /// batch would genuinely insert and genuinely delete, each list sorted
+    /// and duplicate-free.
+    ///
+    /// This is the one statement of the batch rule every mutation path
+    /// follows: `removals` apply first, then `additions`, so a transition
+    /// named on both sides ends up present and counts on neither side;
+    /// duplicates, already-present additions and absent removals drop out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any edge names an out-of-range state or action.
+    #[must_use]
+    pub fn effective_edits(
+        &self,
+        additions: &[(StateId, Label, StateId)],
+        removals: &[(StateId, Label, StateId)],
+    ) -> (EdgeBatch, EdgeBatch) {
+        for &(from, label, to) in additions.iter().chain(removals) {
+            assert!(self.contains_state(from), "source state out of range");
+            assert!(self.contains_state(to), "target state out of range");
+            if let Label::Act(a) = label {
+                assert!(a.index() < self.actions.len(), "action out of range");
+            }
+        }
+        let mut removed: EdgeBatch = removals
+            .iter()
+            .copied()
+            .filter(|&(f, l, t)| self.has_transition(f, l, t) && !additions.contains(&(f, l, t)))
+            .collect();
+        removed.sort_unstable();
+        removed.dedup();
+        let mut added: EdgeBatch = additions
+            .iter()
+            .copied()
+            .filter(|&(f, l, t)| !self.has_transition(f, l, t))
+            .collect();
+        added.sort_unstable();
+        added.dedup();
+        (added, removed)
+    }
+
+    /// Applies an edge batch in place and returns its effective edits, as
+    /// computed by [`Fsp::effective_edits`].
     ///
     /// The per-state sorted/duplicate-free invariant and the transition
     /// count are maintained; states, actions and variables are fixed — a
@@ -400,35 +441,22 @@ impl Fsp {
         additions: &[(StateId, Label, StateId)],
         removals: &[(StateId, Label, StateId)],
     ) -> (EdgeBatch, EdgeBatch) {
-        for &(from, label, to) in additions.iter().chain(removals) {
-            assert!(self.contains_state(from), "source state out of range");
-            assert!(self.contains_state(to), "target state out of range");
-            if let Label::Act(a) = label {
-                assert!(a.index() < self.actions.len(), "action out of range");
-            }
-        }
-        let mut removed = Vec::new();
-        for &(from, label, to) in removals {
-            if additions.contains(&(from, label, to)) {
-                // Re-added by the same batch: net no-op under removals-first.
-                continue;
-            }
+        let (added, removed) = self.effective_edits(additions, removals);
+        for &(from, label, to) in &removed {
             let list = &mut self.states[from.index()].transitions;
-            if let Ok(pos) = list.binary_search(&Transition { label, target: to }) {
-                list.remove(pos);
-                self.num_transitions -= 1;
-                removed.push((from, label, to));
-            }
+            let pos = list
+                .binary_search(&Transition { label, target: to })
+                .expect("an effective removal is present");
+            list.remove(pos);
         }
-        let mut added = Vec::new();
-        for &(from, label, to) in additions {
+        for &(from, label, to) in &added {
             let list = &mut self.states[from.index()].transitions;
-            if let Err(pos) = list.binary_search(&Transition { label, target: to }) {
-                list.insert(pos, Transition { label, target: to });
-                self.num_transitions += 1;
-                added.push((from, label, to));
-            }
+            let pos = list
+                .binary_search(&Transition { label, target: to })
+                .expect_err("an effective addition is absent");
+            list.insert(pos, Transition { label, target: to });
         }
+        self.num_transitions = self.num_transitions + added.len() - removed.len();
         (added, removed)
     }
 }
@@ -586,16 +614,21 @@ mod tests {
         let s2 = f.state_by_name("s2").unwrap();
         let a = f.action_id("a").unwrap();
         let before = f.num_transitions();
-        let (added, removed) = f.apply_edge_delta(
-            &[
-                (s2, Label::Act(a), s0), // genuinely new
-                (s0, Label::Act(a), s1), // already present
-            ],
-            &[
-                (s1, Label::Tau, s2), // genuinely gone
-                (s2, Label::Tau, s0), // was never there
-            ],
-        );
+        let additions = [
+            (s2, Label::Act(a), s0), // genuinely new
+            (s0, Label::Act(a), s1), // already present
+            (s2, Label::Act(a), s0), // duplicate
+        ];
+        let removals = [
+            (s1, Label::Tau, s2), // genuinely gone
+            (s2, Label::Tau, s0), // was never there
+        ];
+        // The read-only preview leaves the process alone and agrees with
+        // what the mutation then reports.
+        let preview = f.effective_edits(&additions, &removals);
+        assert_eq!(f.num_transitions(), before);
+        let (added, removed) = f.apply_edge_delta(&additions, &removals);
+        assert_eq!((added.clone(), removed.clone()), preview);
         assert_eq!(added, vec![(s2, Label::Act(a), s0)]);
         assert_eq!(removed, vec![(s1, Label::Tau, s2)]);
         assert_eq!(f.num_transitions(), before);

@@ -30,11 +30,11 @@
 //! [`LabeledGraph::max_fanout`] — the parameter of the Kanellakis–Smolka
 //! `O(c²·n·log n)` bound — is an `O(1)` field read instead of a rescan.
 //!
-//! A built graph is not a dead end: [`LabeledGraph::merged_with`] folds a
-//! batch of new edges into an existing layout by a sorted two-way merge in
-//! `O(m + p log p)` (for `p` new edges), which is what makes incremental
+//! A built graph is not a dead end: [`LabeledGraph::edited_with`] removes
+//! and adds a batch of edges in one relayout, by a sorted two-way merge in
+//! `O(m + p log p)` (for `p` edited edges), which is what makes incremental
 //! [`Instance::add_edge`](crate::Instance::add_edge)/solve interleavings
-//! cheap — the full edge list is never re-sorted.
+//! and edge batches cheap — the full edge list is never re-sorted.
 
 use crate::ids::{self, IdOverflow, LabelId, StateId};
 
@@ -148,7 +148,7 @@ impl LabeledGraph {
 
     /// Walks the successor CSR as packed edge triples, in the canonical
     /// sorted `(label, from, to)` order — the stream
-    /// [`LabeledGraph::merged_with`] merges new edges into.
+    /// [`LabeledGraph::edited_with`] merges new edges into.
     fn packed_edges(&self) -> impl Iterator<Item = Edge> + '_ {
         let n = self.num_elements;
         // With n == 0 the range is empty, so the divisions below never run.
@@ -169,70 +169,12 @@ impl LabeledGraph {
             .map(|(l, from, to)| (l.index(), from.index(), to.index()))
     }
 
-    /// Returns a new graph containing this graph's edges plus `extra`,
-    /// deduplicated, without re-sorting the existing edge list: `extra` is
-    /// sorted (`O(p log p)`) and then merged with the already-sorted CSR walk
-    /// (`O(m + p)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any extra edge mentions an out-of-range label or element.
-    #[must_use]
-    pub fn merged_with(&self, extra: &[(usize, usize, usize)]) -> LabeledGraph {
-        let mut fresh: Vec<Edge> = extra
-            .iter()
-            .map(|&(l, from, to)| {
-                assert!(l < self.num_labels, "label out of range");
-                assert!(from < self.num_elements, "source element out of range");
-                assert!(to < self.num_elements, "target element out of range");
-                (
-                    LabelId::from_index(l),
-                    StateId::from_index(from),
-                    StateId::from_index(to),
-                )
-            })
-            .collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        let mut merged = Vec::with_capacity(self.num_edges + fresh.len());
-        let mut old = self.packed_edges().peekable();
-        let mut new = fresh.into_iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(&a), Some(&b)) => {
-                    if a < b {
-                        merged.push(a);
-                        old.next();
-                    } else if b < a {
-                        merged.push(b);
-                        new.next();
-                    } else {
-                        merged.push(a);
-                        old.next();
-                        new.next();
-                    }
-                }
-                (Some(&a), None) => {
-                    merged.push(a);
-                    old.next();
-                }
-                (None, Some(&b)) => {
-                    merged.push(b);
-                    new.next();
-                }
-                (None, None) => break,
-            }
-        }
-        layout(self.num_elements, self.num_labels, &merged)
-    }
-
     /// Returns a new graph with `removals` deleted and `additions` merged in,
     /// in one relayout: removals are applied first, then additions (so an
-    /// edge named in both ends up present).  Like
-    /// [`LabeledGraph::merged_with`], the existing edge list is never
-    /// re-sorted — removals are dropped during the sorted CSR walk and
-    /// additions ride the same two-way merge, `O(m + p log p + r log r)` for
-    /// `p` additions and `r` removals.
+    /// edge named in both ends up present).  The existing edge list is
+    /// never re-sorted — removals are dropped during the sorted CSR walk and
+    /// additions ride a two-way merge with it, `O(m + p log p + r log r)`
+    /// for `p` additions and `r` removals.
     ///
     /// Removing an edge that is not present is a no-op, mirroring how adding
     /// a duplicate edge is.
@@ -318,7 +260,7 @@ impl LabeledGraph {
 
 /// Lays out a sorted, duplicate-free edge list as a [`LabeledGraph`] in
 /// `O(m + k·n)`.  Shared by [`GraphBuilder::build`] (which sorts first) and
-/// [`LabeledGraph::merged_with`] (which merges two sorted streams).
+/// [`LabeledGraph::edited_with`] (which merges two sorted streams).
 fn layout(n: usize, k: usize, edges: &[Edge]) -> LabeledGraph {
     debug_assert!(
         edges.windows(2).all(|w| w[0] < w[1]),
@@ -633,7 +575,7 @@ mod tests {
         b.extend_edges([(0, 0, 1), (0, 2, 3), (1, 4, 0)]);
         let base = b.build();
         let extra = [(0, 0, 1), (0, 0, 4), (1, 1, 1), (0, 0, 4), (0, 2, 2)];
-        let merged = base.merged_with(&extra);
+        let merged = base.edited_with(&extra, &[]);
 
         let mut full = GraphBuilder::new(5, 2);
         full.extend_edges(base.edges());
@@ -650,14 +592,14 @@ mod tests {
         let mut b = GraphBuilder::new(3, 1);
         b.add_edge(0, 0, 2);
         let g = b.build();
-        assert_eq!(g.merged_with(&[]), g);
+        assert_eq!(g.edited_with(&[], &[]), g);
     }
 
     #[test]
     #[should_panic(expected = "target element out of range")]
     fn merged_with_checks_ranges() {
         let g = LabeledGraph::empty(2, 1);
-        let _ = g.merged_with(&[(0, 0, 2)]);
+        let _ = g.edited_with(&[(0, 0, 2)], &[]);
     }
 
     #[test]

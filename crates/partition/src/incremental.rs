@@ -5,6 +5,16 @@
 //! from scratch pays the full `O(m log n)` per batch; this module keeps the
 //! last stable partition alive and re-refines only what the batch touched.
 //!
+//! The whole engine is one stateless function, [`refine_delta`].  The
+//! caller owns the instance, applies the batch with
+//! [`Instance::apply_delta`] — which returns the batch's effective edits —
+//! and hands those edits over together with the pre-batch partition:
+//!
+//! ```text
+//! let (added, removed) = inst.apply_delta(&additions, &removals);
+//! let (next, path) = refine_delta(&inst, &prev, &added, &removed);
+//! ```
+//!
 //! # The delta-seeded worklist
 //!
 //! The previous solution `P` is stable with respect to every one of its own
@@ -50,9 +60,9 @@
 //! coarsenings of `P_inc`; solving the quotient (|blocks| elements, deduped
 //! block-level edges) and lifting gives `P*` at a cost that shrinks with
 //! the solution size instead of the graph size.  A whole-graph rebuild
-//! remains the safety net: batches touching more than a
-//! [`DEFAULT_THRESHOLD`] fraction of the ground set skip the incremental
-//! machinery entirely.
+//! remains the safety net: batches touching more than a quarter of the
+//! ground set skip the incremental machinery entirely.  Both rebuilds run
+//! Paige–Tarjan.
 //!
 //! Every path is unconditionally exact — the tests (and the report's DELTA
 //! table) assert block-for-block equality with a from-scratch solve after
@@ -61,51 +71,13 @@
 use std::collections::HashMap;
 
 use crate::ids::{self, StateId};
-use crate::{solve, Algorithm, Instance, Partition};
+use crate::{solve, Algorithm, Instance, LabeledGraph, Partition};
 
-/// The touched-state-fraction rebuild threshold.
-///
-/// A batch whose effective edits mention more than `threshold · n` distinct
-/// endpoints takes the [`DeltaPath::FullRebuild`] path — at that size the
-/// seeded worklist degenerates toward a from-scratch refinement anyway.
-pub const DEFAULT_THRESHOLD: f64 = 0.25;
-
-/// An edge batch: `removals` are applied first, then `additions`, so an
-/// edge named on both sides ends up present.  Duplicates, already-present
-/// additions and absent removals are harmless no-ops.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EdgeDelta {
-    /// Edges `(label, from, to)` to add.
-    pub additions: Vec<(usize, usize, usize)>,
-    /// Edges `(label, from, to)` to remove.
-    pub removals: Vec<(usize, usize, usize)>,
-}
-
-impl EdgeDelta {
-    /// A pure-addition batch.
-    #[must_use]
-    pub fn added(edges: Vec<(usize, usize, usize)>) -> Self {
-        EdgeDelta {
-            additions: edges,
-            removals: Vec::new(),
-        }
-    }
-
-    /// A pure-removal batch.
-    #[must_use]
-    pub fn removed(edges: Vec<(usize, usize, usize)>) -> Self {
-        EdgeDelta {
-            additions: Vec::new(),
-            removals: edges,
-        }
-    }
-
-    /// Whether the batch names no edges at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.additions.is_empty() && self.removals.is_empty()
-    }
-}
+/// The touched-state-fraction rebuild threshold: a batch whose effective
+/// edits mention more than `REBUILD_THRESHOLD · n` distinct endpoints takes
+/// the [`DeltaPath::FullRebuild`] path — at that size the seeded worklist
+/// degenerates toward a from-scratch refinement anyway.
+const REBUILD_THRESHOLD: f64 = 0.25;
 
 /// Which maintenance path a batch took.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -135,213 +107,48 @@ impl std::fmt::Display for DeltaPath {
     }
 }
 
-/// Counters describing how a [`DeltaRefiner`] has earned its keep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeltaStats {
-    /// Batches applied.
-    pub batches: usize,
-    /// Batches that were no-ops.
-    pub unchanged: usize,
-    /// Batches resolved purely by seeded refinement.
-    pub incremental: usize,
-    /// Batches that fell back to the quotient rebuild.
-    pub quotient_rebuilds: usize,
-    /// Batches that exceeded the threshold and re-solved from scratch.
-    pub full_rebuilds: usize,
-    /// Block splits performed by the seeded worklist across all batches.
-    pub splits: usize,
-}
-
-/// Maintains the coarsest stable partition of an [`Instance`] across edge
-/// batches, re-refining only what each batch touched.
+/// Brings the coarsest stable partition up to date after an edge batch.
 ///
-/// The refiner owns the instance and its current solution; between batches
-/// the solution is always exactly `solve(instance, algorithm)` — an
-/// invariant the test-suite and the report's DELTA table cross-check
-/// against a from-scratch oracle after every step.
+/// `instance` must **already reflect** the batch, `previous` is the
+/// coarsest stable partition of the graph *before* it, and the two slices
+/// are the batch's *effective* edits (each addition genuinely new, each
+/// removal genuinely gone, the two sets disjoint) — exactly what
+/// [`Instance::apply_delta`] returns.  Returns the coarsest stable
+/// partition of the new graph and the path taken.
 ///
 /// ```
-/// use ccs_partition::{incremental::{DeltaRefiner, EdgeDelta, DeltaPath}, Algorithm, Instance};
-/// let mut inst = Instance::new(4, 1);
+/// use ccs_partition::{incremental::{refine_delta, DeltaPath}, solve, Algorithm, Instance};
+/// // Two copies of `x → y` plus isolated elements: a one-edge batch touches
+/// // at most a quarter of the ground set, so the delta path runs.
+/// let mut inst = Instance::new(8, 1);
 /// inst.add_edge(0, 0, 1);
 /// inst.add_edge(0, 2, 3);
-/// // Tiny toy ground set: raise the rebuild threshold so the delta path runs.
-/// let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::KanellakisSmolka, 1.0);
-/// assert_eq!(refiner.partition().num_blocks(), 2); // {0,2}, {1,3}
+/// let prev = solve(&inst, Algorithm::PaigeTarjan);
 /// // A mirrored edge is class-redundant: no rebuild, same partition.
-/// let path = refiner.apply(&EdgeDelta::added(vec![(0, 0, 3)]));
+/// let (added, removed) = inst.apply_delta(&[(0, 0, 3)], &[]);
+/// let (next, path) = refine_delta(&inst, &prev, &added, &removed);
 /// assert_eq!(path, DeltaPath::Incremental);
-/// assert_eq!(refiner.partition().num_blocks(), 2);
+/// assert_eq!(next, prev);
+/// assert_eq!(next, solve(&inst, Algorithm::PaigeTarjan));
 /// ```
-#[derive(Clone, Debug)]
-pub struct DeltaRefiner {
-    instance: Instance,
-    partition: Partition,
-    algorithm: Algorithm,
-    threshold: f64,
-    stats: DeltaStats,
-}
-
-impl DeltaRefiner {
-    /// Solves `instance` once and stands ready to maintain the solution,
-    /// with the [`DEFAULT_THRESHOLD`] rebuild threshold.
-    #[must_use]
-    pub fn new(instance: Instance, algorithm: Algorithm) -> Self {
-        DeltaRefiner::with_threshold(instance, algorithm, DEFAULT_THRESHOLD)
-    }
-
-    /// As [`DeltaRefiner::new`] with an explicit touched-fraction rebuild
-    /// threshold (`0.0` forces every non-empty batch down the full-rebuild
-    /// path; `1.0` effectively disables the safety net).
-    #[must_use]
-    pub fn with_threshold(instance: Instance, algorithm: Algorithm, threshold: f64) -> Self {
-        let partition = solve(&instance, algorithm);
-        DeltaRefiner {
-            instance,
-            partition,
-            algorithm,
-            threshold,
-            stats: DeltaStats::default(),
-        }
-    }
-
-    /// The maintained instance (already reflecting every applied batch).
-    #[must_use]
-    pub fn instance(&self) -> &Instance {
-        &self.instance
-    }
-
-    /// The current coarsest stable partition.
-    #[must_use]
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// The solver used for the initial solve and any rebuild path.
-    #[must_use]
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// The touched-fraction rebuild threshold in effect.
-    #[must_use]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Per-path counters accumulated over all applied batches.
-    #[must_use]
-    pub fn stats(&self) -> DeltaStats {
-        self.stats
-    }
-
-    /// Heap bytes held by the refiner's bookkeeping: the owned instance
-    /// (base CSR, pending-delta buffer, merged layout) plus the retained
-    /// partition.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.instance.resident_bytes() + self.partition.resident_bytes()
-    }
-
-    /// Applies an edge batch and brings the partition back to the coarsest
-    /// stable solution, reporting which maintenance path ran.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge in the batch mentions an out-of-range label or
-    /// element (the instance is untouched in that case).
-    pub fn apply(&mut self, delta: &EdgeDelta) -> DeltaPath {
-        self.stats.batches += 1;
-        // Effective edits against the current graph: removals first, then
-        // additions, so an edge named on both sides stays present.
-        let mut removed: Vec<(usize, usize, usize)> = delta
-            .removals
-            .iter()
-            .copied()
-            .filter(|&(l, f, t)| {
-                self.instance.has_edge(l, f, t) && !delta.additions.contains(&(l, f, t))
-            })
-            .collect();
-        removed.sort_unstable();
-        removed.dedup();
-        let mut added: Vec<(usize, usize, usize)> = delta
-            .additions
-            .iter()
-            .copied()
-            .filter(|&(l, f, t)| !self.instance.has_edge(l, f, t))
-            .collect();
-        added.sort_unstable();
-        added.dedup();
-        if added.is_empty() && removed.is_empty() {
-            self.stats.unchanged += 1;
-            return DeltaPath::Unchanged;
-        }
-        self.instance.apply_delta(&delta.additions, &delta.removals);
-        let (partition, path, splits) = refine_delta_counted(
-            &self.instance,
-            &self.partition,
-            &added,
-            &removed,
-            self.algorithm,
-            self.threshold,
-        );
-        self.partition = partition;
-        self.stats.splits += splits;
-        match path {
-            DeltaPath::Unchanged => self.stats.unchanged += 1,
-            DeltaPath::Incremental => self.stats.incremental += 1,
-            DeltaPath::QuotientRebuild => self.stats.quotient_rebuilds += 1,
-            DeltaPath::FullRebuild => self.stats.full_rebuilds += 1,
-        }
-        path
-    }
-}
-
-/// The stateless core: given an instance whose graph **already reflects**
-/// an edge batch, the coarsest stable partition `previous` of the graph
-/// *before* the batch, and the batch's *effective* edits (each addition
-/// genuinely new, each removal genuinely gone, the two sets disjoint),
-/// returns the coarsest stable partition of the new graph and the path
-/// taken.
 ///
-/// This is the entry point for callers that own their instance (the
-/// session layer): [`DeltaRefiner`] wraps it with effective-edit
-/// computation and instance mutation.
+/// # Panics
+///
+/// Panics if `previous` covers a different ground set than `instance`.
 #[must_use]
 pub fn refine_delta(
     instance: &Instance,
     previous: &Partition,
     effective_additions: &[(usize, usize, usize)],
     effective_removals: &[(usize, usize, usize)],
-    algorithm: Algorithm,
-    threshold: f64,
 ) -> (Partition, DeltaPath) {
-    let (partition, path, _) = refine_delta_counted(
-        instance,
-        previous,
-        effective_additions,
-        effective_removals,
-        algorithm,
-        threshold,
-    );
-    (partition, path)
-}
-
-fn refine_delta_counted(
-    instance: &Instance,
-    previous: &Partition,
-    effective_additions: &[(usize, usize, usize)],
-    effective_removals: &[(usize, usize, usize)],
-    algorithm: Algorithm,
-    threshold: f64,
-) -> (Partition, DeltaPath, usize) {
     assert_eq!(
         previous.num_elements(),
         instance.num_elements(),
         "previous partition covers a different ground set"
     );
     if effective_additions.is_empty() && effective_removals.is_empty() {
-        return (previous.clone(), DeltaPath::Unchanged, 0);
+        return (previous.clone(), DeltaPath::Unchanged);
     }
     let n = instance.num_elements();
     // Safety net: a batch touching a large fraction of the ground set
@@ -354,39 +161,109 @@ fn refine_delta_counted(
     endpoints.sort_unstable();
     endpoints.dedup();
     #[allow(clippy::cast_precision_loss)]
-    if endpoints.len() as f64 > threshold * n as f64 {
-        return (solve(instance, algorithm), DeltaPath::FullRebuild, 0);
+    if endpoints.len() as f64 > REBUILD_THRESHOLD * n as f64 {
+        return (
+            solve(instance, Algorithm::PaigeTarjan),
+            DeltaPath::FullRebuild,
+        );
     }
+    let books = UndoBooks::new(effective_additions, effective_removals);
     // Fast path: only delta *sources* have changed rows, so if every edited
     // row still hits exactly the same set of `previous`-classes, `previous`
     // is stable over the new graph — and every edit is class-redundant at
     // `previous` granularity, which is precisely the certificate.  Both
     // halves of the exactness argument hold at once: the old solution *is*
     // the new solution, at `O(|δ|·c)` cost with no block scans at all.
-    if signatures_preserved(instance, previous, effective_additions, effective_removals) {
-        return (previous.clone(), DeltaPath::Incremental, 0);
+    if signatures_preserved(instance.graph(), previous, &books) {
+        return (previous.clone(), DeltaPath::Incremental);
     }
-    let (class_of, splits) =
-        seeded_refinement(instance, previous, effective_additions, effective_removals);
-    if certificate_holds(instance, &class_of, effective_additions, effective_removals) {
+    let class_of = seeded_refinement(instance, previous, &books);
+    if certificate_holds(instance.graph(), &class_of, &books) {
         (
             Partition::from_assignment(&class_of),
             DeltaPath::Incremental,
-            splits,
         )
     } else {
         (
-            quotient_solve(instance, &class_of, algorithm),
+            quotient_solve(instance, &class_of),
             DeltaPath::QuotientRebuild,
-            splits,
         )
     }
 }
 
+/// The per-row undo books of a batch: the targets each `(label, source)`
+/// row gained and lost.  The effective edits are disjoint, so the pre-batch
+/// rows are reconstructed from the new ones as `old = (new \ added) ∪
+/// removed` — built once per batch and shared by the signature fast path,
+/// the seeded refinement and the certificate.
+struct UndoBooks {
+    added_from: HashMap<(usize, usize), Vec<usize>>,
+    removed_from: HashMap<(usize, usize), Vec<usize>>,
+}
+
+impl UndoBooks {
+    fn new(additions: &[(usize, usize, usize)], removals: &[(usize, usize, usize)]) -> Self {
+        let by_row = |edges: &[(usize, usize, usize)]| {
+            let mut rows: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+            for &(l, u, v) in edges {
+                rows.entry((l, u)).or_default().push(v);
+            }
+            rows
+        };
+        UndoBooks {
+            added_from: by_row(additions),
+            removed_from: by_row(removals),
+        }
+    }
+
+    /// Every edited `(label, source)` row, sorted and duplicate-free.
+    fn rows(&self) -> Vec<(usize, usize)> {
+        let mut rows: Vec<(usize, usize)> = self
+            .added_from
+            .keys()
+            .chain(self.removed_from.keys())
+            .copied()
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
+    }
+
+    /// `fₗ(u)` as it was before the batch.
+    fn old_successors<'a>(
+        &'a self,
+        graph: &'a LabeledGraph,
+        l: usize,
+        u: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let added = self.added_from.get(&(l, u));
+        successors(graph, l, u)
+            .filter(move |w| !added.is_some_and(|a| a.contains(w)))
+            .chain(
+                self.removed_from
+                    .get(&(l, u))
+                    .into_iter()
+                    .flatten()
+                    .copied(),
+            )
+    }
+}
+
+/// `fₗ(u)` in the current graph, as element indices.
+fn successors(graph: &LabeledGraph, l: usize, u: usize) -> impl Iterator<Item = usize> + '_ {
+    graph.successors(l, u).iter().map(|w| w.index())
+}
+
+/// The sorted, duplicate-free set of classes a successor row hits.
+fn class_set<C: Ord>(row: impl Iterator<Item = usize>, class: impl Fn(usize) -> C) -> Vec<C> {
+    let mut classes: Vec<C> = row.map(class).collect();
+    classes.sort_unstable();
+    classes.dedup();
+    classes
+}
+
 /// Whether every edited successor row hits exactly the same set of
-/// `previous`-classes before and after the batch.  Old rows are
-/// reconstructed from the new ones by undoing the batch (the effective
-/// edits are disjoint, so `old = (new \ added) ∪ removed` row-wise).
+/// `previous`-classes before and after the batch.
 ///
 /// When this holds, `previous` is still stable over the new graph (only
 /// delta sources have changed rows, and their class signatures did not
@@ -394,52 +271,12 @@ fn refine_delta_counted(
 /// granularity (every added edge lands in a class the old row already hit;
 /// every removed edge leaves a class the new row still hits) — so
 /// `previous` is the coarsest stable partition of the new graph outright.
-fn signatures_preserved(
-    instance: &Instance,
-    previous: &Partition,
-    effective_additions: &[(usize, usize, usize)],
-    effective_removals: &[(usize, usize, usize)],
-) -> bool {
-    let graph = instance.graph();
-    let mut added_from: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    for &(l, u, v) in effective_additions {
-        added_from.entry((l, u)).or_default().push(v);
-    }
-    let mut removed_from: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    for &(l, u, v) in effective_removals {
-        removed_from.entry((l, u)).or_default().push(v);
-    }
-    let mut rows: Vec<(usize, usize)> = added_from
-        .keys()
-        .chain(removed_from.keys())
-        .copied()
-        .collect();
-    rows.sort_unstable();
-    rows.dedup();
-    for (l, u) in rows {
-        let added = added_from.get(&(l, u));
-        let removed = removed_from.get(&(l, u));
-        let class_set = |old: bool| -> Vec<usize> {
-            let mut classes: Vec<usize> = graph
-                .successors(l, u)
-                .iter()
-                .filter(|&&w| !(old && added.is_some_and(|a| a.contains(&w.index()))))
-                .map(|&w| previous.block_of(w.index()))
-                .collect();
-            if old {
-                if let Some(removed) = removed {
-                    classes.extend(removed.iter().map(|&w| previous.block_of(w)));
-                }
-            }
-            classes.sort_unstable();
-            classes.dedup();
-            classes
-        };
-        if class_set(true) != class_set(false) {
-            return false;
-        }
-    }
-    true
+fn signatures_preserved(graph: &LabeledGraph, previous: &Partition, books: &UndoBooks) -> bool {
+    let class = |w: usize| previous.block_of(w);
+    books.rows().into_iter().all(|(l, u)| {
+        class_set(books.old_successors(graph, l, u), class)
+            == class_set(successors(graph, l, u), class)
+    })
 }
 
 /// Runs the both-halves splitter loop over the **new** graph starting from
@@ -452,57 +289,29 @@ fn signatures_preserved(
 /// elements with different signatures at `previous` granularity, so the
 /// fixpoint is the same coarsest stable refinement the naive
 /// target-block seed reaches — without ever scanning an unsplit block.
-/// Returns the fixpoint assignment and the number of splits performed.
-fn seeded_refinement(
-    instance: &Instance,
-    previous: &Partition,
-    effective_additions: &[(usize, usize, usize)],
-    effective_removals: &[(usize, usize, usize)],
-) -> (Vec<u32>, usize) {
+/// Returns the fixpoint assignment.
+fn seeded_refinement(instance: &Instance, previous: &Partition, books: &UndoBooks) -> Vec<u32> {
     let graph = instance.graph();
     let n = instance.num_elements();
     let prev_assignment: Vec<usize> = previous.assignment().collect();
     let (mut block_of, mut blocks) = Partition::from_raw_assignment(&prev_assignment);
-    let mut splits = 0usize;
 
-    // Per-row undo books, as in the certificate: old = (new \ added) ∪ removed.
-    let mut added_from: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    for &(l, u, v) in effective_additions {
-        added_from.entry((l, u)).or_default().push(v);
-    }
-    let mut removed_from: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    for &(l, u, v) in effective_removals {
-        removed_from.entry((l, u)).or_default().push(v);
-    }
-    // The full per-label class signature of `u`'s successor rows; `old`
-    // reconstructs the pre-batch rows by undoing the edits.
+    // The full per-label class signature of `u`'s successor rows, before
+    // (`old`) or after the batch.
     let signature = |u: usize, old: bool| -> Vec<Vec<u32>> {
         (0..instance.num_labels())
             .map(|l| {
-                let added = added_from.get(&(l, u));
-                let mut classes: Vec<u32> = graph
-                    .successors(l, u)
-                    .iter()
-                    .filter(|&&w| !(old && added.is_some_and(|a| a.contains(&w.index()))))
-                    .map(|&w| block_of[w.index()])
-                    .collect();
+                let class = |w: usize| block_of[w];
                 if old {
-                    if let Some(removed) = removed_from.get(&(l, u)) {
-                        classes.extend(removed.iter().map(|&w| block_of[w]));
-                    }
+                    class_set(books.old_successors(graph, l, u), class)
+                } else {
+                    class_set(successors(graph, l, u), class)
                 }
-                classes.sort_unstable();
-                classes.dedup();
-                classes
             })
             .collect()
     };
 
-    let mut sources: Vec<usize> = effective_additions
-        .iter()
-        .chain(effective_removals)
-        .map(|&(_, from, _)| from)
-        .collect();
+    let mut sources: Vec<usize> = books.rows().into_iter().map(|(_, u)| u).collect();
     sources.sort_unstable();
     sources.dedup();
     // Group the sources whose signature moved, per block, by new signature.
@@ -546,7 +355,6 @@ fn seeded_refinement(
             }
             blocks.push(members);
             enqueued.push(new_id);
-            splits += 1;
         }
         blocks[d as usize] = remainder;
     }
@@ -597,7 +405,6 @@ fn seeded_refinement(
                 blocks.push(outside);
                 on_worklist.push(false);
                 touched_stamp.push(0);
-                splits += 1;
                 for id in [d, new_id] {
                     if !on_worklist[id as usize] {
                         on_worklist[id as usize] = true;
@@ -608,7 +415,7 @@ fn seeded_refinement(
         }
     }
 
-    (block_of, splits)
+    block_of
 }
 
 /// The class-redundancy certificate: true iff every effective addition was
@@ -617,52 +424,22 @@ fn seeded_refinement(
 /// fixpoint `class_of`.  When it holds the fixpoint *is* the coarsest
 /// stable partition of the new graph (see the module docs for the proof
 /// sketch); when it fails the true solution may be coarser.
-fn certificate_holds(
-    instance: &Instance,
-    class_of: &[u32],
-    effective_additions: &[(usize, usize, usize)],
-    effective_removals: &[(usize, usize, usize)],
-) -> bool {
-    let graph = instance.graph();
+fn certificate_holds(graph: &LabeledGraph, class_of: &[u32], books: &UndoBooks) -> bool {
     // Removals: `u` must still reach v's class in the *new* graph.
-    for &(l, u, v) in effective_removals {
-        let class = class_of[v];
-        if !graph
-            .successors(l, u)
+    let removals_mirrored = books.removed_from.iter().all(|(&(l, u), targets)| {
+        targets
             .iter()
-            .any(|&w| class_of[w.index()] == class)
-        {
-            return false;
-        }
-    }
-    if effective_additions.is_empty() {
-        return true;
-    }
-    // Additions: `u` must have reached v's class in the *old* graph, whose
-    // successor lists are reconstructed from the new ones by undoing the
-    // batch — old = (new \ added-from-u) ∪ removed-from-u.
-    let mut added_from: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    for &(l, u, v) in effective_additions {
-        added_from.entry((l, u)).or_default().push(v);
-    }
-    let mut removed_from: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    for &(l, u, v) in effective_removals {
-        removed_from.entry((l, u)).or_default().push(v);
-    }
-    for &(l, u, v) in effective_additions {
-        let class = class_of[v];
-        let added = added_from.get(&(l, u));
-        let surviving_old = graph.successors(l, u).iter().any(|&w| {
-            class_of[w.index()] == class && !added.is_some_and(|a| a.contains(&w.index()))
-        });
-        let undone_old = removed_from
-            .get(&(l, u))
-            .is_some_and(|r| r.iter().any(|&w| class_of[w] == class));
-        if !surviving_old && !undone_old {
-            return false;
-        }
-    }
-    true
+            .all(|&v| successors(graph, l, u).any(|w| class_of[w] == class_of[v]))
+    });
+    // Additions: `u` must have reached v's class in the *old* graph.
+    removals_mirrored
+        && books.added_from.iter().all(|(&(l, u), targets)| {
+            targets.iter().all(|&v| {
+                books
+                    .old_successors(graph, l, u)
+                    .any(|w| class_of[w] == class_of[v])
+            })
+        })
 }
 
 /// Solves the quotient of the instance by the stable partition `class_of`
@@ -673,7 +450,7 @@ fn certificate_holds(
 /// to the stable coarsenings of `class_of`; the lifted coarsest quotient
 /// solution is therefore the coarsest stable partition of the full
 /// instance, at the cost of a solve over `|blocks|` elements.
-fn quotient_solve(instance: &Instance, class_of: &[u32], algorithm: Algorithm) -> Partition {
+fn quotient_solve(instance: &Instance, class_of: &[u32]) -> Partition {
     let num_classes = class_of.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
     let mut quotient = Instance::new(num_classes, instance.num_labels());
     // Classes refine the initial partition, so any member's initial block
@@ -693,7 +470,7 @@ fn quotient_solve(instance: &Instance, class_of: &[u32], algorithm: Algorithm) -
     for (l, from, to) in edges {
         quotient.add_edge(l, from, to);
     }
-    let solved = solve(&quotient, algorithm);
+    let solved = solve(&quotient, Algorithm::PaigeTarjan);
     let lifted: Vec<usize> = class_of
         .iter()
         .map(|&c| solved.block_of(c as usize))
@@ -707,16 +484,40 @@ fn quotient_solve(instance: &Instance, class_of: &[u32], algorithm: Algorithm) -
 mod tests {
     use super::*;
 
-    /// Applies the batch to a fresh copy and cross-checks the refiner's
-    /// partition against a from-scratch solve.
-    fn assert_matches_oracle(refiner: &DeltaRefiner) {
-        let oracle = solve(refiner.instance(), Algorithm::PaigeTarjan);
-        assert_eq!(
-            refiner.partition(),
-            &oracle,
-            "delta result != from-scratch oracle"
-        );
-        assert!(refiner.instance().is_consistent_stable(refiner.partition()));
+    /// Isolated padding elements appended to the tiny test instances, fenced
+    /// into their own initial block: they add exactly one block and never
+    /// interact with the real elements, but they grow the ground set so a
+    /// batch of up to four endpoints stays under the rebuild threshold and
+    /// reaches the incremental and quotient paths.
+    const PAD: usize = 12;
+
+    /// The initial block of the padding elements.
+    const PAD_BLOCK: usize = 7;
+
+    /// An instance over `n` real elements plus the fenced-off padding.
+    fn padded(n: usize, labels: usize) -> Instance {
+        let mut inst = Instance::new(n + PAD, labels);
+        for x in n..n + PAD {
+            inst.set_initial_block(x, PAD_BLOCK);
+        }
+        inst
+    }
+
+    /// Applies the batch the way production does — effective edits from
+    /// `Instance::apply_delta`, then `refine_delta` — and cross-checks the
+    /// result against a from-scratch solve.
+    fn step(
+        inst: &mut Instance,
+        previous: &Partition,
+        additions: &[(usize, usize, usize)],
+        removals: &[(usize, usize, usize)],
+    ) -> (Partition, DeltaPath) {
+        let (added, removed) = inst.apply_delta(additions, removals);
+        let (next, path) = refine_delta(inst, previous, &added, &removed);
+        let oracle = solve(inst, Algorithm::PaigeTarjan);
+        assert_eq!(next, oracle, "delta result != from-scratch oracle");
+        assert!(inst.is_consistent_stable(&next));
+        (next, path)
     }
 
     #[test]
@@ -725,31 +526,28 @@ mod tests {
         // single edge 0 -> 1 *coarsens* {0},{1} to {0,1}.  No split
         // sequence reaches it; the certificate must fail and the quotient
         // rebuild must recover the coarser answer.
-        let mut inst = Instance::new(2, 1);
+        let mut inst = padded(2, 1);
         inst.add_edge(0, 0, 1);
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::KanellakisSmolka, 1.0);
-        assert_eq!(refiner.partition().num_blocks(), 2);
-        let path = refiner.apply(&EdgeDelta::added(vec![(0, 1, 0)]));
+        let prev = solve(&inst, Algorithm::KanellakisSmolka);
+        assert!(!prev.same_block(0, 1));
+        let (next, path) = step(&mut inst, &prev, &[(0, 1, 0)], &[]);
         assert_eq!(path, DeltaPath::QuotientRebuild);
-        assert_eq!(refiner.partition().num_blocks(), 1);
-        assert_matches_oracle(&refiner);
+        assert!(next.same_block(0, 1));
     }
 
     #[test]
     fn class_redundant_addition_stays_incremental() {
         // Two parallel 2-cycles: one block.  A cross-cycle edge is
         // class-redundant, so the certificate holds and nothing rebuilds.
-        let mut inst = Instance::new(4, 1);
+        let mut inst = padded(4, 1);
         for (f, t) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
             inst.add_edge(0, f, t);
         }
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::PaigeTarjan, 1.0);
-        assert_eq!(refiner.partition().num_blocks(), 1);
-        let path = refiner.apply(&EdgeDelta::added(vec![(0, 0, 3)]));
+        let prev = solve(&inst, Algorithm::PaigeTarjan);
+        assert_eq!(prev.num_blocks(), 2, "the cycles plus the padding");
+        let (next, path) = step(&mut inst, &prev, &[(0, 0, 3)], &[]);
         assert_eq!(path, DeltaPath::Incremental);
-        assert_eq!(refiner.partition().num_blocks(), 1);
-        assert_matches_oracle(&refiner);
-        assert_eq!(refiner.stats().incremental, 1);
+        assert_eq!(next, prev);
     }
 
     #[test]
@@ -759,108 +557,95 @@ mod tests {
         // the addition is genuinely refining the certificate fails (1 had
         // no old successor at all) — the quotient path re-derives the
         // split result exactly.
-        let mut inst = Instance::new(4, 1);
+        let mut inst = padded(4, 1);
         inst.add_edge(0, 0, 1);
         inst.add_edge(0, 2, 3);
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::KanellakisSmolka, 1.0);
-        assert_eq!(refiner.partition().num_blocks(), 2);
-        refiner.apply(&EdgeDelta::added(vec![(0, 1, 2)]));
-        assert_matches_oracle(&refiner);
-        assert!(!refiner.partition().same_block(1, 3));
+        let prev = solve(&inst, Algorithm::KanellakisSmolka);
+        assert!(prev.same_block(0, 2) && prev.same_block(1, 3));
+        let (next, path) = step(&mut inst, &prev, &[(0, 1, 2)], &[]);
+        assert_eq!(path, DeltaPath::QuotientRebuild);
+        assert!(!next.same_block(1, 3));
     }
 
     #[test]
     fn removal_with_surviving_mirror_stays_incremental() {
         // 0 has two edges into the same class; dropping one is
         // class-redundant in the new graph.
-        let mut inst = Instance::new(4, 1);
+        let mut inst = padded(4, 1);
         inst.add_edge(0, 0, 1);
         inst.add_edge(0, 0, 2);
         inst.add_edge(0, 3, 1); // keeps 1, 2 in one (dead) class with 3's target
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::PaigeTarjan, 1.0);
-        let path = refiner.apply(&EdgeDelta::removed(vec![(0, 0, 2)]));
+        let prev = solve(&inst, Algorithm::PaigeTarjan);
+        let (_, path) = step(&mut inst, &prev, &[], &[(0, 0, 2)]);
         assert_eq!(path, DeltaPath::Incremental);
-        assert_matches_oracle(&refiner);
     }
 
     #[test]
     fn removal_that_coarsens_takes_the_quotient_path() {
         // 0 -> 1 with trivial π: {0},{1}.  Removing the edge coarsens to
         // one block.
-        let mut inst = Instance::new(2, 1);
+        let mut inst = padded(2, 1);
         inst.add_edge(0, 0, 1);
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::KanellakisSmolka, 1.0);
-        let path = refiner.apply(&EdgeDelta::removed(vec![(0, 0, 1)]));
+        let prev = solve(&inst, Algorithm::KanellakisSmolka);
+        let (next, path) = step(&mut inst, &prev, &[], &[(0, 0, 1)]);
         assert_eq!(path, DeltaPath::QuotientRebuild);
-        assert_eq!(refiner.partition().num_blocks(), 1);
-        assert_matches_oracle(&refiner);
+        assert!(next.same_block(0, 1));
     }
 
     #[test]
     fn noop_batches_leave_everything_untouched() {
-        let mut inst = Instance::new(3, 1);
+        let mut inst = padded(3, 1);
         inst.add_edge(0, 0, 1);
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::PaigeTarjan, 1.0);
-        let before = refiner.partition().clone();
+        let before = solve(&inst, Algorithm::PaigeTarjan);
+        let graph = inst.graph().clone();
         // Already present, already absent, and present-on-both-sides.
-        assert_eq!(
-            refiner.apply(&EdgeDelta::added(vec![(0, 0, 1)])),
-            DeltaPath::Unchanged
-        );
-        assert_eq!(
-            refiner.apply(&EdgeDelta::removed(vec![(0, 2, 2)])),
-            DeltaPath::Unchanged
-        );
-        assert_eq!(
-            refiner.apply(&EdgeDelta {
-                additions: vec![(0, 0, 1)],
-                removals: vec![(0, 0, 1)],
-            }),
-            DeltaPath::Unchanged
-        );
-        assert_eq!(refiner.partition(), &before);
-        assert_eq!(refiner.stats().unchanged, 3);
-        assert_eq!(refiner.stats().batches, 3);
+        for (additions, removals) in [
+            (vec![(0, 0, 1)], vec![]),
+            (vec![], vec![(0, 2, 2)]),
+            (vec![(0, 0, 1)], vec![(0, 0, 1)]),
+        ] {
+            let (next, path) = step(&mut inst, &before, &additions, &removals);
+            assert_eq!(path, DeltaPath::Unchanged);
+            assert_eq!(next, before);
+        }
+        assert_eq!(inst.graph(), &graph);
     }
 
     #[test]
     fn oversized_batches_fall_back_to_a_full_rebuild() {
+        // No padding: the one-edge batch touches two of four elements, half
+        // the ground set, well past the quarter threshold.
         let mut inst = Instance::new(4, 1);
         inst.add_edge(0, 0, 1);
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::KanellakisSmolka, 0.0);
-        let path = refiner.apply(&EdgeDelta::added(vec![(0, 1, 2)]));
+        let prev = solve(&inst, Algorithm::KanellakisSmolka);
+        let (_, path) = step(&mut inst, &prev, &[(0, 1, 2)], &[]);
         assert_eq!(path, DeltaPath::FullRebuild);
-        assert_matches_oracle(&refiner);
-        assert_eq!(refiner.stats().full_rebuilds, 1);
     }
 
     #[test]
     fn edge_present_on_both_sides_survives() {
-        let mut inst = Instance::new(3, 1);
+        let mut inst = padded(3, 1);
         inst.add_edge(0, 0, 1);
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::PaigeTarjan, 1.0);
-        refiner.apply(&EdgeDelta {
-            additions: vec![(0, 0, 1), (0, 1, 2)],
-            removals: vec![(0, 0, 1)],
-        });
-        assert!(refiner.instance().has_edge(0, 0, 1));
-        assert!(refiner.instance().has_edge(0, 1, 2));
-        assert_matches_oracle(&refiner);
+        let prev = solve(&inst, Algorithm::PaigeTarjan);
+        let (_, path) = step(&mut inst, &prev, &[(0, 0, 1), (0, 1, 2)], &[(0, 0, 1)]);
+        assert_ne!(path, DeltaPath::FullRebuild);
+        assert!(inst.has_edge(0, 0, 1));
+        assert!(inst.has_edge(0, 1, 2));
     }
 
     #[test]
     fn respects_the_initial_partition_across_deltas() {
-        let mut inst = Instance::new(4, 1);
+        let mut inst = padded(4, 1);
         inst.set_initial_block(3, 1);
         inst.add_edge(0, 0, 1);
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::KanellakisSmolka, 1.0);
+        let prev = solve(&inst, Algorithm::KanellakisSmolka);
         // 1, 2 are both dead and same initial block; 3 is dead but fenced
         // off by the initial partition — and must stay fenced off after a
         // coarsening removal.
-        refiner.apply(&EdgeDelta::removed(vec![(0, 0, 1)]));
-        assert_matches_oracle(&refiner);
-        assert!(refiner.partition().same_block(0, 1));
-        assert!(!refiner.partition().same_block(0, 3));
+        let (next, path) = step(&mut inst, &prev, &[], &[(0, 0, 1)]);
+        assert_eq!(path, DeltaPath::QuotientRebuild);
+        assert!(next.same_block(0, 1));
+        assert!(!next.same_block(0, 3));
     }
 
     #[test]
@@ -872,7 +657,10 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for algorithm in Algorithm::ALL {
+        let mut paths = Vec::new();
+        for _ in 0..4 {
+            // At least ten elements: a one-edge batch (two endpoints) never
+            // crosses the quarter threshold, so every step is a delta step.
             let n = 10 + (next() % 8) as usize;
             let labels = 1 + (next() % 2) as usize;
             let mut inst = Instance::new(n, labels);
@@ -883,40 +671,28 @@ mod tests {
                     (next() % n as u64) as usize,
                 );
             }
-            let mut refiner = DeltaRefiner::with_threshold(inst, algorithm, 1.0);
+            let mut partition = solve(&inst, Algorithm::PaigeTarjan);
             for _ in 0..12 {
                 let edge = (
                     (next() % labels as u64) as usize,
                     (next() % n as u64) as usize,
                     (next() % n as u64) as usize,
                 );
-                let delta = if next() % 3 == 0 {
-                    EdgeDelta::removed(vec![edge])
+                let (additions, removals) = if next() % 3 == 0 {
+                    (vec![], vec![edge])
                 } else {
-                    EdgeDelta::added(vec![edge])
+                    (vec![edge], vec![])
                 };
-                refiner.apply(&delta);
-                assert_matches_oracle(&refiner);
+                let (added, removed) = inst.apply_delta(&additions, &removals);
+                let (refined, path) = refine_delta(&inst, &partition, &added, &removed);
+                for algorithm in Algorithm::ALL {
+                    assert_eq!(refined, solve(&inst, algorithm), "{algorithm} after {path}");
+                }
+                paths.push(path);
+                partition = refined;
             }
-            let stats = refiner.stats();
-            assert_eq!(stats.batches, 12, "{algorithm}");
-            assert_eq!(
-                stats.unchanged + stats.incremental + stats.quotient_rebuilds + stats.full_rebuilds,
-                12,
-                "{algorithm}"
-            );
         }
-    }
-
-    #[test]
-    fn resident_bytes_counts_instance_and_partition() {
-        let mut inst = Instance::new(64, 1);
-        for i in 0..63 {
-            inst.add_edge(0, i, i + 1);
-        }
-        let refiner = DeltaRefiner::with_threshold(inst, Algorithm::PaigeTarjan, 1.0);
-        let bytes = refiner.resident_bytes();
-        assert!(bytes >= refiner.instance().resident_bytes());
-        assert!(bytes >= refiner.partition().resident_bytes());
+        assert!(!paths.contains(&DeltaPath::FullRebuild));
+        assert!(paths.contains(&DeltaPath::Incremental));
     }
 }

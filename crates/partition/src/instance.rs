@@ -3,6 +3,10 @@ use std::sync::OnceLock;
 use crate::graph::{GraphBuilder, LabeledGraph};
 use crate::ids::{IdOverflow, StateId};
 
+/// A list of `(label, from, to)` edges — the effective edits
+/// [`Instance::apply_delta`] returns.
+pub type EdgeBatch = Vec<(usize, usize, usize)>;
+
 /// An instance of the generalized partitioning problem (Section 3).
 ///
 /// The ground set is `0..num_elements()`; the `k` functions `fₗ : S → 2^S`
@@ -10,13 +14,15 @@ use crate::ids::{IdOverflow, StateId};
 /// partition `π` is a block assignment (all elements default to block `0`).
 ///
 /// Internally the relations live in a flat CSR [`LabeledGraph`]: a *base*
-/// layout plus a small list of *pending* edges recorded since the base was
-/// built.  A query sees `base ∪ pending` — computed lazily by the sorted
-/// merge of [`LabeledGraph::merged_with`] (`O(m + p log p)` for `p` pending
+/// layout plus a small list of *pending* edges recorded by
+/// [`Instance::add_edge`] since the base was built.  A query sees
+/// `base ∪ pending` — computed lazily by one sorted
+/// [`LabeledGraph::edited_with`] merge (`O(m + p log p)` for `p` pending
 /// edges) and folded back into the base on the next mutation, so
 /// interleaving [`Instance::add_edge`] with solver queries never re-sorts
-/// the full edge list.  Successor and predecessor queries are slice views
-/// into contiguous storage, and [`Instance::num_edges`] /
+/// the full edge list.  Edge batches ([`Instance::apply_delta`]) bypass the
+/// pending list and relayout once.  Successor and predecessor queries are
+/// slice views into contiguous storage, and [`Instance::num_edges`] /
 /// [`Instance::max_fanout`] are `O(1)` field reads of layout-computed
 /// values.  All per-element arrays are 32-bit ([`StateId`] targets, `u32`
 /// offsets and initial-block ids); ground sets beyond the packed id range
@@ -38,7 +44,8 @@ pub struct Instance {
     initial_block: Vec<u32>,
     /// Edges already laid out as a CSR graph.
     base: LabeledGraph,
-    /// Edges recorded since `base` was laid out (duplicates allowed).
+    /// Edges recorded by `add_edge` since `base` was laid out (duplicates
+    /// allowed).
     pending: Vec<(usize, usize, usize)>,
     /// Lazily merged `base ∪ pending`; folded into `base` on mutation.
     merged: OnceLock<LabeledGraph>,
@@ -153,67 +160,54 @@ impl Instance {
         self.pending.reserve(additional);
     }
 
-    /// Applies a whole edge batch — removals first, then additions — as one
-    /// first-class mutation.
+    /// Applies a whole edge batch — removals first, then additions, so an
+    /// edge named on both sides ends up present — and returns the
+    /// *effective* edits `(added, removed)`: the edges genuinely inserted
+    /// and genuinely deleted, each list sorted and duplicate-free.
+    /// Already-present additions and absent removals are no-ops.
     ///
-    /// This is the batched sibling of [`Instance::add_edge`], and the entry
-    /// point the incremental engine
-    /// ([`DeltaRefiner`](crate::incremental::DeltaRefiner)) drives.  The
-    /// whole batch collapses into at most **one** relayout however many
-    /// edges it carries: a pure-addition batch just extends the pending
-    /// list (merged lazily by the next query, exactly like `add_edge`),
-    /// while a batch with removals folds `base ∪ pending` and the edits
-    /// into a single [`LabeledGraph::edited_with`] pass — it never pays one
-    /// merge per edge.
-    ///
-    /// Removing an absent edge is a no-op, mirroring duplicate additions.
+    /// The whole batch costs one [`LabeledGraph::edited_with`] relayout of
+    /// the current graph, however many edges it carries (none if nothing is
+    /// effective); edges [`Instance::add_edge`] left pending are merged
+    /// first, as any query would.  The returned edits are exactly what
+    /// [`incremental::refine_delta`](crate::incremental::refine_delta)
+    /// takes alongside the pre-batch partition.
     ///
     /// # Panics
     ///
-    /// Panics if any edge mentions an out-of-range label or element.
+    /// Panics if any edge mentions an out-of-range label or element (the
+    /// instance is untouched in that case).
     pub fn apply_delta(
         &mut self,
         additions: &[(usize, usize, usize)],
         removals: &[(usize, usize, usize)],
-    ) {
+    ) -> (EdgeBatch, EdgeBatch) {
         for &(label, from, to) in additions.iter().chain(removals) {
             assert!(label < self.num_labels(), "label out of range");
             assert!(from < self.num_elements(), "source element out of range");
             assert!(to < self.num_elements(), "target element out of range");
         }
-        if removals.is_empty() {
-            if let Some(merged) = self.merged.take() {
-                self.base = merged;
-                self.pending.clear();
-            }
-            self.pending.extend_from_slice(additions);
-        } else {
-            // Removals force a relayout; collapse pending edges into the
-            // same single `edited_with` pass instead of merging them first.
-            let edited = if self.pending.is_empty() {
-                self.base.edited_with(additions, removals)
-            } else {
-                let mut combined = self.pending.clone();
-                combined.extend_from_slice(additions);
-                // A pending edge may itself be removed by this batch;
-                // removals-first ordering means a pending edge named only in
-                // `removals` must not survive, while one re-added here does.
-                // `edited_with` applies removals before additions, so feeding
-                // pending through the additions side keeps exactly the
-                // re-added ones — *except* pending edges absent from
-                // `additions` that are also being removed, which must drop.
-                let doomed: Vec<(usize, usize, usize)> = removals
-                    .iter()
-                    .copied()
-                    .filter(|e| !additions.contains(e))
-                    .collect();
-                combined.retain(|e| !doomed.contains(e));
-                self.base.edited_with(&combined, removals)
-            };
-            self.base = edited;
-            self.pending.clear();
+        let graph = self.graph();
+        let mut removed: EdgeBatch = removals
+            .iter()
+            .copied()
+            .filter(|&(l, f, t)| graph.has_edge(l, f, t) && !additions.contains(&(l, f, t)))
+            .collect();
+        removed.sort_unstable();
+        removed.dedup();
+        let mut added: EdgeBatch = additions
+            .iter()
+            .copied()
+            .filter(|&(l, f, t)| !graph.has_edge(l, f, t))
+            .collect();
+        added.sort_unstable();
+        added.dedup();
+        if !added.is_empty() || !removed.is_empty() {
+            self.base = graph.edited_with(&added, &removed);
+            self.pending = Vec::new();
             self.merged = OnceLock::new();
         }
+        (added, removed)
     }
 
     /// Whether `to ∈ fₗ(from)` — a binary search over the sorted successor
@@ -235,7 +229,7 @@ impl Instance {
             &self.base
         } else {
             self.merged
-                .get_or_init(|| self.base.merged_with(&self.pending))
+                .get_or_init(|| self.base.edited_with(&self.pending, &[]))
         }
     }
 
@@ -447,8 +441,11 @@ mod tests {
     fn apply_delta_lets_additions_win_over_removals() {
         let mut inst = Instance::new(3, 1);
         inst.add_edge(0, 0, 1);
-        // The same edge named on both sides: removals first, so it survives.
-        inst.apply_delta(&[(0, 0, 1), (0, 1, 2)], &[(0, 0, 1)]);
+        // The same edge named on both sides: removals first, so it survives
+        // and neither side reports it as an effective edit.
+        let (added, removed) = inst.apply_delta(&[(0, 1, 2), (0, 0, 1), (0, 1, 2)], &[(0, 0, 1)]);
+        assert_eq!(added, vec![(0, 1, 2)]);
+        assert!(removed.is_empty());
         assert!(inst.has_edge(0, 0, 1));
         assert!(inst.has_edge(0, 1, 2));
         assert_eq!(inst.num_edges(), 2);
@@ -470,11 +467,10 @@ mod tests {
         assert_eq!(inst, fresh);
     }
 
-    /// Regression test for repeated solve/mutate/solve cycles: each query
-    /// after a mutation must pay exactly one sorted merge over the edges of
-    /// that batch (the previous merged layout is promoted to the base, so
-    /// chains of batches never re-merge already-merged edges), and the
-    /// result must stay identical to a from-scratch build at every step.
+    /// Regression test for repeated solve/mutate/solve cycles: every batch
+    /// is folded into the base by its own single relayout (nothing is left
+    /// pending for the next query to merge), and the result must stay
+    /// identical to a from-scratch build at every step.
     #[test]
     fn repeated_solve_mutate_solve_cycles_stay_incremental() {
         use crate::{solve, Algorithm};
@@ -498,16 +494,10 @@ mod tests {
                     live.push(e);
                 }
             }
-            // After a removal batch the pending list must be folded away —
-            // the next query sees the base directly, no merge at all.
-            if !removals.is_empty() {
-                assert!(inst.pending.is_empty(), "round {round}");
-            } else {
-                // Addition batches stay pending until a query merges them,
-                // and the previous round's merge was promoted to the base:
-                // only this batch's edges are pending.
-                assert!(inst.pending.len() <= adds.len(), "round {round}");
-            }
+            // The batch was folded into the base — the next query sees it
+            // directly, no merge at all.
+            assert!(inst.pending.is_empty(), "round {round}");
+            assert!(inst.merged.get().is_none(), "round {round}");
             let mut fresh = Instance::new(n, 2);
             for &(l, f, t) in &live {
                 fresh.add_edge(l, f, t);

@@ -94,8 +94,8 @@ mod union_find;
 pub use dfa::Dfa;
 pub use graph::{GraphBuilder, LabeledGraph};
 pub use ids::{BlockId, IdOverflow, LabelId, StateId};
-pub use incremental::{DeltaPath, DeltaRefiner, DeltaStats, EdgeDelta};
-pub use instance::Instance;
+pub use incremental::DeltaPath;
+pub use instance::{EdgeBatch, Instance};
 pub use partition::Partition;
 pub use union_find::UnionFind;
 

@@ -482,6 +482,27 @@ mod tests {
         );
     }
 
+    /// A deep `≈ₖ` request answers from the hierarchy's fixpoint on a
+    /// default-sized thread stack, the stack a connection thread gets: the
+    /// level walk's stack depth does not grow with `k`.
+    #[test]
+    fn deep_kobs_classify_answers_on_a_connection_sized_stack() {
+        let service = Service::default();
+        let id = open(&service, "trans p a q\ntrans q b r");
+        let response = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    service.handle_line(&format!(
+                        r#"{{"op":"classify","session":"{id}","notion":"k-observational-5000"}}"#
+                    ))
+                })
+                .join()
+                .expect("the request thread survives")
+        });
+        let value = json::parse(&response).unwrap();
+        assert_eq!(value.get("ok"), Some(&Json::Bool(true)), "{response}");
+    }
+
     #[test]
     fn ccs_expressions_open_via_the_representative_construction() {
         let service = Service::default();

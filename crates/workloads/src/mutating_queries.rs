@@ -42,7 +42,7 @@ pub struct EditBatch<E> {
 }
 
 /// An [`EditBatch`] over kernel-level `(label, from, to)` index triples —
-/// the edge currency of [`ccs_partition::EdgeDelta`].
+/// the edge currency of [`Instance::apply_delta`].
 pub type KernelEditBatch = EditBatch<(usize, usize, usize)>;
 
 impl<E> EditBatch<E> {
@@ -151,7 +151,9 @@ pub fn mutating_workload(
 /// generalized-partitioning [`Instance`] (labels `0 = a`, `1 = b`,
 /// accepting copies split off by the initial partition) plus the edit
 /// stream as `(label, from, to)` index triples — the direct input of
-/// [`ccs_partition::DeltaRefiner`] and the DELTA report table.
+/// [`Instance::apply_delta`] and
+/// [`refine_delta`](ccs_partition::incremental::refine_delta), as the DELTA
+/// report table drives them.
 /// Deterministic in `seed`.
 ///
 /// # Panics
@@ -220,7 +222,8 @@ fn edit_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_partition::{solve, Algorithm, DeltaRefiner};
+    use ccs_partition::incremental::{refine_delta, DeltaPath};
+    use ccs_partition::{solve, Algorithm};
 
     #[test]
     fn workloads_are_deterministic_in_the_seed() {
@@ -237,19 +240,20 @@ mod tests {
 
     #[test]
     fn instance_stream_drives_the_delta_refiner_to_oracle_agreement() {
-        let (inst, batches) = mutating_instance(12, 10, 2, 7);
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::PaigeTarjan, 1.0);
+        let (mut inst, batches) = mutating_instance(12, 10, 2, 7);
+        let mut partition = solve(&inst, Algorithm::PaigeTarjan);
+        let mut paths = Vec::new();
         for batch in &batches {
-            let delta = ccs_partition::EdgeDelta {
-                additions: batch.additions.clone(),
-                removals: batch.removals.clone(),
-            };
-            refiner.apply(&delta);
-            let oracle = solve(refiner.instance(), Algorithm::PaigeTarjan);
-            assert_eq!(refiner.partition(), &oracle);
+            let (added, removed) = inst.apply_delta(&batch.additions, &batch.removals);
+            let (next, path) = refine_delta(&inst, &partition, &added, &removed);
+            assert_eq!(next, solve(&inst, Algorithm::PaigeTarjan));
+            partition = next;
+            paths.push(path);
         }
-        let stats = refiner.stats();
-        assert_eq!(stats.batches, batches.len());
+        assert_eq!(paths.len(), batches.len());
+        // Two edits touch at most four of the 48 states: every batch takes
+        // the delta path, never the whole-graph rebuild.
+        assert!(!paths.contains(&DeltaPath::FullRebuild));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Cross-crate property tests for incremental partition maintenance: random
-//! edit streams drive a [`DeltaRefiner`] per solver engine (the four
-//! solvers of [`Algorithm::ALL`]) and the session-level `apply_delta` path,
-//! asserting after every step that the maintained state is block-for-block
-//! identical to a from-scratch rebuild — partitions via the kernel oracle,
-//! verdicts via `classify_all` against a fresh [`EquivSession`].
+//! edit streams drive the kernel delta path ([`Instance::apply_delta`] then
+//! [`refine_delta`]) and the session-level `apply_delta` path, asserting
+//! after every step that the maintained state is block-for-block identical
+//! to a from-scratch rebuild — partitions against every solver of
+//! [`Algorithm::ALL`], verdicts via `classify_all` against a fresh
+//! [`EquivSession`].
 
 use ccs_equiv::{EquivSession, Equivalence};
 use ccs_fsp::{Label, StateId};
-use ccs_partition::{solve, Algorithm, DeltaRefiner, EdgeDelta};
+use ccs_partition::incremental::refine_delta;
+use ccs_partition::{solve, Algorithm, Instance};
 use ccs_workloads::{instances, mutating_queries, random, RandomConfig};
 use proptest::prelude::*;
 
@@ -23,8 +25,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random single-edit-to-small-batch streams over random instances:
-    /// every engine's refiner stays equal to a from-scratch solve of its
-    /// own mutated instance after every batch.
+    /// the delta-refined partition stays equal to a from-scratch solve of
+    /// the mutated instance by every solver after every batch.
     #[test]
     fn every_engine_tracks_the_from_scratch_oracle(
         n in 2usize..24,
@@ -32,14 +34,22 @@ proptest! {
         density in 0usize..4,
         mut seed in 1u64..1_000_000,
     ) {
-        let inst = instances::random(n, labels, density * n, seed);
-        let mut refiners: Vec<DeltaRefiner> = Algorithm::ALL
-            .iter()
-            .map(|&alg| DeltaRefiner::with_threshold(inst.clone(), alg, 1.0))
-            .collect();
+        // Isolated padding elements in their own initial block keep a batch
+        // of up to three edits under the quarter-of-the-ground-set rebuild
+        // threshold, so the incremental and quotient paths run.
+        const PAD: usize = 24;
+        let random = instances::random(n, labels, density * n, seed);
+        let mut inst = Instance::new(n + PAD, labels);
+        for x in n..n + PAD {
+            inst.set_initial_block(x, 1);
+        }
+        for (l, from, to) in random.graph().edges() {
+            inst.add_edge(l, from, to);
+        }
+        let mut partition = solve(&inst, Algorithm::PaigeTarjan);
         for _ in 0..4 {
             let edits = 1 + (xorshift(&mut seed) % 3) as usize;
-            let mut delta = EdgeDelta::default();
+            let (mut additions, mut removals) = (Vec::new(), Vec::new());
             for _ in 0..edits {
                 let edge = (
                     (xorshift(&mut seed) % labels as u64) as usize,
@@ -47,24 +57,24 @@ proptest! {
                     (xorshift(&mut seed) % n as u64) as usize,
                 );
                 if xorshift(&mut seed) % 3 == 0 {
-                    delta.removals.push(edge);
+                    removals.push(edge);
                 } else {
-                    delta.additions.push(edge);
+                    additions.push(edge);
                 }
             }
-            for refiner in &mut refiners {
-                refiner.apply(&delta);
-            }
-            let oracle = solve(refiners[0].instance(), Algorithm::PaigeTarjan);
-            prop_assert!(refiners[0].instance().is_consistent_stable(&oracle));
-            for (refiner, alg) in refiners.iter().zip(Algorithm::ALL) {
+            let (added, removed) = inst.apply_delta(&additions, &removals);
+            let (next, path) = refine_delta(&inst, &partition, &added, &removed);
+            prop_assert!(inst.is_consistent_stable(&next));
+            for alg in Algorithm::ALL {
                 prop_assert_eq!(
-                    refiner.partition(),
-                    &oracle,
-                    "{} diverged from the from-scratch oracle",
+                    &next,
+                    &solve(&inst, alg),
+                    "{} path diverged from the {} from-scratch oracle",
+                    path,
                     alg
                 );
             }
+            partition = next;
         }
     }
 }
