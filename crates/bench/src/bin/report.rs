@@ -409,21 +409,32 @@ fn e8_strong_equivalence() {
 }
 
 fn e9_observational_equivalence() {
-    println!("\n== E9: observational equivalence (Theorem 4.1a): saturation + refinement ==");
+    println!("\n== E9: observational equivalence (Theorem 4.1a): the session's weak pipeline ==");
+    println!("   (fresh session per size; asserts the saturate() → strong_partition oracle)");
     println!(
-        "{:>8} {:>14} {:>14} {:>12}",
-        "states", "saturate ms", "refine ms", "classes"
+        "{:>8} {:>12} {:>12} {:>12} {:>12} {:>10}",
+        "states", "closure ms", "instance ms", "refine ms", "weak edges", "classes"
     );
     for &n in &[64usize, 128, 256, 512] {
         let fsp = general_process(n, 13);
-        let (saturated, t_sat) = time_ms(|| ccs_fsp::saturate::saturate(&fsp));
-        let (partition, t_ref) = time_ms(|| strong::strong_partition(&saturated.fsp));
+        let session = EquivSession::for_process(&fsp);
+        let (_, t_closure) = time_ms(|| session.tau_closure());
+        let (edges, t_inst) = time_ms(|| session.weak_instance().num_edges());
+        let (partition, t_ref) = time_ms(|| session.classify_all(Equivalence::Observational));
+        let oracle = strong::strong_partition(&ccs_fsp::saturate::saturate(&fsp).fsp);
+        assert_eq!(
+            partition.as_ref(),
+            oracle.partition(),
+            "E9 n={n}: the session's ≈ diverged from the saturate() oracle"
+        );
         println!(
-            "{:>8} {:>14.2} {:>14.2} {:>12}",
+            "{:>8} {:>12.2} {:>12.2} {:>12.2} {:>12} {:>10}",
             n,
-            t_sat,
+            t_closure,
+            t_inst,
             t_ref,
-            partition.num_classes()
+            edges,
+            partition.num_blocks()
         );
     }
 }

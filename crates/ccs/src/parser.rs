@@ -10,11 +10,22 @@
 //! atom    := '0' | IDENT | '(' expr ')'
 //! IDENT   := [A-Za-z_][A-Za-z0-9_]*       (except the literal "0")
 //! ```
+//!
+//! The parser and every later pass over the tree (the representative
+//! construction, display, drop) recurse once per tree level, so [`parse`]
+//! rejects trees deeper than `MAX_DEPTH`.  Each `+`, `.` and `*` node and
+//! each parenthesis pair counts one level: a left-deep chain `a+a+…+a` of
+//! `n` terms is `n − 1` deep.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::StarExpr;
+
+/// Deepest expression [`parse`] accepts, in the levels the module docs
+/// count.  It keeps the parse and the construction inside a 2 MiB thread
+/// stack, the size of a server connection thread.
+const MAX_DEPTH: usize = 256;
 
 /// Errors produced while parsing a star expression.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,13 +51,19 @@ impl Error for ExprError {}
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Parentheses open around the current position.
+    open: usize,
 }
+
+/// A parsed subtree and its depth.
+type Parsed = (StarExpr, usize);
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
         Parser {
             input: input.as_bytes(),
             pos: 0,
+            open: 0,
         }
     }
 
@@ -68,51 +85,67 @@ impl<'a> Parser<'a> {
         self.input.get(self.pos).copied()
     }
 
-    fn expr(&mut self) -> Result<StarExpr, ExprError> {
-        let mut left = self.term()?;
-        while self.peek() == Some(b'+') {
-            self.pos += 1;
-            let right = self.term()?;
-            left = left.union(right);
+    /// One level above `depth`, or an error past [`MAX_DEPTH`].
+    fn deeper(&self, depth: usize) -> Result<usize, ExprError> {
+        if depth < MAX_DEPTH {
+            Ok(depth + 1)
+        } else {
+            Err(self.error(&format!("expression nested deeper than {MAX_DEPTH} levels")))
         }
-        Ok(left)
     }
 
-    fn term(&mut self) -> Result<StarExpr, ExprError> {
-        let mut left = self.factor()?;
+    fn expr(&mut self) -> Result<Parsed, ExprError> {
+        let (mut left, mut depth) = self.term()?;
+        while self.peek() == Some(b'+') {
+            self.pos += 1;
+            let (right, right_depth) = self.term()?;
+            depth = self.deeper(depth.max(right_depth))?;
+            left = left.union(right);
+        }
+        Ok((left, depth))
+    }
+
+    fn term(&mut self) -> Result<Parsed, ExprError> {
+        let (mut left, mut depth) = self.factor()?;
         // Juxtaposition of atoms is not allowed; concatenation needs an
         // explicit dot, matching the paper's `·`.
         while self.peek() == Some(b'.') {
             self.pos += 1;
-            let right = self.factor()?;
+            let (right, right_depth) = self.factor()?;
+            depth = self.deeper(depth.max(right_depth))?;
             left = left.concat(right);
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn factor(&mut self) -> Result<StarExpr, ExprError> {
-        let mut atom = self.atom()?;
+    fn factor(&mut self) -> Result<Parsed, ExprError> {
+        let (mut atom, mut depth) = self.atom()?;
         while self.peek() == Some(b'*') {
             self.pos += 1;
+            depth = self.deeper(depth)?;
             atom = atom.star();
         }
-        Ok(atom)
+        Ok((atom, depth))
     }
 
-    fn atom(&mut self) -> Result<StarExpr, ExprError> {
+    fn atom(&mut self) -> Result<Parsed, ExprError> {
         match self.peek() {
             Some(b'(') => {
+                // The parser recurses once per open parenthesis, so the
+                // bound applies before the inner depth is known.
+                self.open = self.deeper(self.open)?;
                 self.pos += 1;
-                let inner = self.expr()?;
+                let (inner, depth) = self.expr()?;
                 if self.peek() != Some(b')') {
                     return Err(self.error("expected ')'"));
                 }
                 self.pos += 1;
-                Ok(inner)
+                self.open -= 1;
+                Ok((inner, self.deeper(depth)?))
             }
             Some(b'0') => {
                 self.pos += 1;
-                Ok(StarExpr::Empty)
+                Ok((StarExpr::Empty, 0))
             }
             Some(c) if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = self.pos;
@@ -124,7 +157,7 @@ impl<'a> Parser<'a> {
                 }
                 let name = std::str::from_utf8(&self.input[start..self.pos])
                     .expect("ASCII identifier is valid UTF-8");
-                Ok(StarExpr::action(name))
+                Ok((StarExpr::action(name), 0))
             }
             Some(_) => Err(self.error("expected '0', an action name, or '('")),
             None => Err(self.error("unexpected end of input")),
@@ -136,10 +169,12 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`ExprError`] describing the first syntax error.
+/// Returns [`ExprError`] describing the first syntax error, or a tree
+/// deeper than 256 levels (each `+`, `.` and `*` node and each
+/// parenthesis pair is one level).
 pub fn parse(input: &str) -> Result<StarExpr, ExprError> {
     let mut p = Parser::new(input);
-    let e = p.expr()?;
+    let (e, _depth) = p.expr()?;
     p.skip_ws();
     if p.pos != p.input.len() {
         return Err(p.error("trailing input after expression"));
@@ -210,6 +245,32 @@ mod tests {
             "", "+", "a +", "(a", "a)", "a..b", "a b", "*a", "a.+b", "1abc",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    /// Deep parentheses and long flat chains are refused with an error,
+    /// not a stack overflow, while the deepest accepted trees still parse.
+    #[test]
+    fn deep_nesting_is_rejected_not_fatal() {
+        let chain = |op: &str, terms: usize| vec!["a"; terms].join(op);
+        let nested = |depth: usize| format!("{}0{}", "(".repeat(depth), ")".repeat(depth));
+        for bad in [
+            nested(100_000),
+            chain("+", 100_000),
+            chain(".", 100_000),
+            format!("a{}", "*".repeat(100_000)),
+            nested(MAX_DEPTH + 1),
+            chain("+", MAX_DEPTH + 2),
+        ] {
+            let err = parse(&bad).expect_err("too deep to accept");
+            assert!(err.message.contains("nested deeper"), "{err}");
+        }
+        for good in [
+            nested(MAX_DEPTH),
+            chain("+", MAX_DEPTH + 1),
+            chain(".", MAX_DEPTH + 1),
+        ] {
+            assert!(parse(&good).is_ok());
         }
     }
 

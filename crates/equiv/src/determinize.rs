@@ -51,13 +51,13 @@
 
 use std::collections::HashMap;
 
-use ccs_fsp::saturate::SaturatedView;
 use ccs_fsp::{ActionId, Fsp, StateId};
 use ccs_partition::{solve, Algorithm, Dfa, Partition};
 
 use crate::check::Equivalence;
 use crate::compact::{narrow, subset_fingerprint};
 use crate::failures::maximal_refusals;
+use crate::saturate::SaturatedView;
 
 /// Interned identifier of a subset state inside a [`SubsetAutomaton`] — a
 /// compact 32-bit id (`u32::MAX` is reserved as the unexplored sentinel).
@@ -281,7 +281,7 @@ impl SubsetAutomaton {
 
     /// Computes the enabled-action set of a member list from the view's CSR
     /// columns (`|Σ|·|X|` slice-emptiness checks).
-    fn enabled_of(&self, view: &SaturatedView, members: &[u32]) -> Vec<u32> {
+    fn enabled_of(&self, view: SaturatedView<'_>, members: &[u32]) -> Vec<u32> {
         (0..self.num_actions)
             .filter(|&a| {
                 members.iter().any(|&x| {
@@ -295,7 +295,7 @@ impl SubsetAutomaton {
     }
 
     /// Interns an arbitrary ε-closed member list (sorted, duplicate-free).
-    fn intern_subset(&mut self, view: &SaturatedView, members: &[u32]) -> SubsetId {
+    fn intern_subset(&mut self, view: SaturatedView<'_>, members: &[u32]) -> SubsetId {
         let fp = subset_fingerprint(members);
         if let Some(id) = self.lookup(fp, members) {
             return id;
@@ -306,7 +306,7 @@ impl SubsetAutomaton {
 
     /// The start subset of an original state: its ε-closure, interned
     /// (memoized per state).
-    pub fn start(&mut self, view: &SaturatedView, p: StateId) -> SubsetId {
+    pub fn start(&mut self, view: SaturatedView<'_>, p: StateId) -> SubsetId {
         if self.start_ids[p.index()] != UNEXPLORED {
             return self.start_ids[p.index()];
         }
@@ -323,7 +323,7 @@ impl SubsetAutomaton {
     /// One determinized transition `δ(id, action)`, computed lazily (the
     /// view's columns already fold in the trailing ε-closure, so the union
     /// of member columns is itself ε-closed) and memoized forever.
-    pub fn step(&mut self, view: &SaturatedView, id: SubsetId, action: ActionId) -> SubsetId {
+    pub fn step(&mut self, view: SaturatedView<'_>, id: SubsetId, action: ActionId) -> SubsetId {
         let slot = id as usize * self.num_actions + action.index();
         if self.delta[slot] != UNEXPLORED {
             return self.delta[slot];
@@ -357,7 +357,7 @@ impl SubsetAutomaton {
     /// (Section 5): two subsets share a class iff their antichains of
     /// maximal refusal sets are identical, so the failure checkers compare
     /// one integer instead of two set families.  Lazily memoized.
-    pub fn refusal_class(&mut self, view: &SaturatedView, id: SubsetId) -> u32 {
+    pub fn refusal_class(&mut self, view: SaturatedView<'_>, id: SubsetId) -> u32 {
         if self.refusal_class[id as usize] != REFUSAL_UNSET {
             return self.refusal_class[id as usize];
         }
@@ -378,7 +378,7 @@ impl SubsetAutomaton {
     /// Closes the transition table over every interned subset: explores
     /// until no `(subset, action)` slot is missing.  After this the explored
     /// arena is a complete DFA.
-    pub fn explore(&mut self, view: &SaturatedView) {
+    pub fn explore(&mut self, view: SaturatedView<'_>) {
         let mut next: SubsetId = 0;
         while (next as usize) < self.num_subsets() {
             for a in 0..self.num_actions {
@@ -409,7 +409,7 @@ impl SubsetAutomaton {
     /// The per-subset output classes of a notion: acceptance bits for
     /// language, non-emptiness for traces, `1 +` the interned refusal
     /// antichain (dead state `0`) for failures.
-    pub fn classes(&mut self, view: &SaturatedView, notion: DetNotion) -> Vec<u32> {
+    pub fn classes(&mut self, view: SaturatedView<'_>, notion: DetNotion) -> Vec<u32> {
         match notion {
             DetNotion::Language => self.accepting.iter().map(|&a| u32::from(a)).collect(),
             DetNotion::Trace => (0..self.num_subsets)
@@ -469,7 +469,7 @@ impl SubsetAutomaton {
     /// the stopping test of the [`onthefly`](crate::onthefly) engine).
     pub(crate) fn classes_differ(
         &mut self,
-        view: &SaturatedView,
+        view: SaturatedView<'_>,
         notion: DetNotion,
         x: SubsetId,
         y: SubsetId,
@@ -497,7 +497,7 @@ impl SubsetAutomaton {
 /// The block of a state is the block of its start subset.
 pub fn determinized_partition(
     auto: &mut SubsetAutomaton,
-    view: &SaturatedView,
+    view: SaturatedView<'_>,
     notion: DetNotion,
     num_states: usize,
 ) -> Partition {
@@ -512,7 +512,7 @@ pub fn determinized_partition(
 /// block of its start subset.
 pub(crate) fn classify_starts(
     auto: &mut SubsetAutomaton,
-    view: &SaturatedView,
+    view: SaturatedView<'_>,
     num_states: usize,
     classes: impl FnOnce(&mut SubsetAutomaton) -> Vec<u32>,
 ) -> Partition {
@@ -606,14 +606,17 @@ impl PairCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::saturate::weak_instance;
     use crate::EquivSession;
-    use ccs_fsp::saturate::{tau_closure, SaturatedView};
+    use ccs_fsp::saturate::tau_closure;
     use ccs_fsp::{format, Label};
 
-    fn arena(fsp: &Fsp) -> (SubsetAutomaton, SaturatedView) {
-        let closure = tau_closure(fsp);
-        let view = SaturatedView::build(fsp, &closure);
-        (SubsetAutomaton::new(fsp), view)
+    /// A fresh arena plus a view of the process's weak instance.  The view
+    /// borrows its instance, so each test leaks one small instance to get
+    /// a view it can hold for the whole test.
+    fn arena(fsp: &Fsp) -> (SubsetAutomaton, SaturatedView<'static>) {
+        let inst = Box::leak(Box::new(weak_instance(fsp, &tau_closure(fsp))));
+        (SubsetAutomaton::new(fsp), SaturatedView::of(inst))
     }
 
     #[test]
@@ -625,7 +628,7 @@ mod tests {
         assert!(!auto.is_accepting(SubsetAutomaton::DEAD));
         let a = f.action_id("a").unwrap();
         assert_eq!(
-            auto.step(&view, SubsetAutomaton::DEAD, a),
+            auto.step(view, SubsetAutomaton::DEAD, a),
             SubsetAutomaton::DEAD
         );
     }
@@ -635,11 +638,11 @@ mod tests {
         let f = format::parse("trans p tau q\ntrans q a r\naccept r").unwrap();
         let (mut auto, view) = arena(&f);
         let p = f.state_by_name("p").unwrap();
-        let sp = auto.start(&view, p);
+        let sp = auto.start(view, p);
         assert_eq!(auto.subset(sp).len(), 2); // {p, q}
-        assert_eq!(auto.start(&view, p), sp);
+        assert_eq!(auto.start(view, p), sp);
         let a = f.action_id("a").unwrap();
-        let after = auto.step(&view, sp, a);
+        let after = auto.step(view, sp, a);
         assert!(auto.is_accepting(after));
         // Enabled set: `a` is weakly enabled at {p, q}, nothing at {r}.
         assert_eq!(auto.enabled(sp), &[narrow(a.index())]);
@@ -651,10 +654,10 @@ mod tests {
         let f = format::parse("trans p a p\ntrans p b p\naccept p").unwrap();
         let (mut auto, view) = arena(&f);
         let p = f.start();
-        let sp = auto.start(&view, p);
+        let sp = auto.start(view, p);
         for _ in 0..3 {
             for a in f.action_ids() {
-                assert_eq!(auto.step(&view, sp, a), sp);
+                assert_eq!(auto.step(view, sp, a), sp);
             }
         }
         // 2 actions on {p}; the dead state's loops were prefilled.
@@ -674,21 +677,21 @@ mod tests {
         let u = f.state_by_name("u").unwrap();
         let p = f.state_by_name("p").unwrap();
         let a = f.action_id("a").unwrap();
-        let su = auto.start(&view, u);
-        let sp = auto.start(&view, p);
-        let after_u = auto.step(&view, su, a); // {v, w}
-        let after_p = auto.step(&view, sp, a); // {q}
+        let su = auto.start(view, u);
+        let sp = auto.start(view, p);
+        let after_u = auto.step(view, su, a); // {v, w}
+        let after_p = auto.step(view, sp, a); // {q}
         assert_ne!(
-            auto.refusal_class(&view, after_u),
-            auto.refusal_class(&view, after_p)
+            auto.refusal_class(view, after_u),
+            auto.refusal_class(view, after_p)
         );
         // Memoized: same class on re-query.
         assert_eq!(
-            auto.refusal_class(&view, after_u),
-            auto.refusal_class(&view, after_u)
+            auto.refusal_class(view, after_u),
+            auto.refusal_class(view, after_u)
         );
         // Start subsets: both enable exactly `a`, refusing {b, c} — equal.
-        assert_eq!(auto.refusal_class(&view, su), auto.refusal_class(&view, sp));
+        assert_eq!(auto.refusal_class(view, su), auto.refusal_class(view, sp));
     }
 
     #[test]
@@ -696,9 +699,9 @@ mod tests {
         let f = format::parse("trans p a q\ntrans q b p\ntrans r a r\naccept p r").unwrap();
         let (mut auto, view) = arena(&f);
         for s in f.state_ids() {
-            auto.start(&view, s);
+            auto.start(view, s);
         }
-        auto.explore(&view);
+        auto.explore(view);
         let table = auto.transition_table();
         assert_eq!(table.len(), auto.num_subsets() * auto.num_actions());
         assert!(table.iter().all(|&t| (t as usize) < auto.num_subsets()));
@@ -791,14 +794,14 @@ mod tests {
         assert_eq!(subset_fingerprint(&[d0]), subset_fingerprint(&t));
         let f = collision_process(d0, &t);
         let (mut auto, view) = arena(&f);
-        let s_id = auto.intern_subset(&view, &[d0]);
-        let t_id = auto.intern_subset(&view, &t);
+        let s_id = auto.intern_subset(view, &[d0]);
+        let t_id = auto.intern_subset(view, &t);
         assert_ne!(s_id, t_id);
         assert!(!auto.intern_spill.is_empty());
         assert_eq!(auto.subset(s_id), &[d0]);
         assert_eq!(auto.subset(t_id), t.as_slice());
-        assert_eq!(auto.intern_subset(&view, &t), t_id);
-        assert_eq!(auto.intern_subset(&view, &[d0]), s_id);
+        assert_eq!(auto.intern_subset(view, &t), t_id);
+        assert_eq!(auto.intern_subset(view, &[d0]), s_id);
     }
 
     #[test]
@@ -808,7 +811,7 @@ mod tests {
         let p = StateId::from_index(d0 as usize);
         let y = StateId::from_index(t[0] as usize);
         let (mut auto, view) = arena(&f);
-        let (sp, sy) = (auto.start(&view, p), auto.start(&view, y));
+        let (sp, sy) = (auto.start(view, p), auto.start(view, y));
         assert_eq!(auto.subset(sp), &[d0]);
         assert_eq!(auto.subset(sy), t.as_slice());
         let session = EquivSession::for_process(&f);
@@ -826,11 +829,11 @@ mod tests {
              trans p a q\ntrans q b r\ntrans q c s\naccept u v w x y p q r s",
         )
         .unwrap();
-        let closure = tau_closure(&f);
-        let view = SaturatedView::build(&f, &closure);
+        let inst = weak_instance(&f, &tau_closure(&f));
+        let view = SaturatedView::of(&inst);
         for notion in [DetNotion::Language, DetNotion::Trace, DetNotion::Failure] {
             let mut auto = SubsetAutomaton::new(&f);
-            let partition = determinized_partition(&mut auto, &view, notion, f.num_states());
+            let partition = determinized_partition(&mut auto, view, notion, f.num_states());
             for p in f.state_ids() {
                 for q in f.state_ids() {
                     let want = match notion {
@@ -872,7 +875,7 @@ mod tests {
     fn transition_table_panics_until_explored() {
         let f = format::parse("trans p a q\naccept q").unwrap();
         let (mut auto, view) = arena(&f);
-        auto.start(&view, f.start());
+        auto.start(view, f.start());
         let _ = auto.transition_table();
     }
 
@@ -881,9 +884,9 @@ mod tests {
         let f = format::parse("trans p a q\ntrans q b p\naccept p q").unwrap();
         let (mut auto, view) = arena(&f);
         for s in f.state_ids() {
-            auto.start(&view, s);
+            auto.start(view, s);
         }
-        auto.explore(&view);
+        auto.explore(view);
         // O(1) completeness check passes and the table is genuinely dense.
         let table = auto.transition_table();
         assert_eq!(table.len(), auto.num_subsets() * auto.num_actions());
@@ -894,9 +897,9 @@ mod tests {
         let f = format::parse("trans p a q\ntrans r a s\ntrans t tau q\naccept q s").unwrap();
         let (mut auto, view) = arena(&f);
         for s in f.state_ids() {
-            auto.start(&view, s);
+            auto.start(view, s);
         }
-        auto.explore(&view);
+        auto.explore(view);
         // Level 0: extension-set classes over the original states — two
         // blocks, the accepting states {q, s} and the plain ones {p, r, t}.
         let prev = Partition::from_assignment(&crate::strong::extension_assignment(&f));
@@ -905,11 +908,11 @@ mod tests {
         // {p} and {r} hit only the plain class, {q} and {s} only the
         // accepting class, and t's closure {t, q} hits both — three distinct
         // signatures.
-        let p = auto.start(&view, f.state_by_name("p").unwrap());
-        let r = auto.start(&view, f.state_by_name("r").unwrap());
-        let q = auto.start(&view, f.state_by_name("q").unwrap());
-        let s = auto.start(&view, f.state_by_name("s").unwrap());
-        let t = auto.start(&view, f.state_by_name("t").unwrap());
+        let p = auto.start(view, f.state_by_name("p").unwrap());
+        let r = auto.start(view, f.state_by_name("r").unwrap());
+        let q = auto.start(view, f.state_by_name("q").unwrap());
+        let s = auto.start(view, f.state_by_name("s").unwrap());
+        let t = auto.start(view, f.state_by_name("t").unwrap());
         assert_eq!(sigs[p as usize], sigs[r as usize]);
         assert_eq!(sigs[q as usize], sigs[s as usize]);
         assert_ne!(sigs[p as usize], sigs[q as usize]);

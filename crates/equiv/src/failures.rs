@@ -16,11 +16,12 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use ccs_fsp::saturate::{tau_closure, SaturatedView};
+use ccs_fsp::saturate::tau_closure;
 use ccs_fsp::{ops, Fsp, StateId};
 
 use crate::compact::narrow;
 use crate::language::{closure_of_view, subset_step_view, Subset};
+use crate::saturate::{weak_instance, SaturatedView};
 
 /// A single failure pair `(trace, refusal)`, with action names spelled out.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,7 +49,7 @@ pub struct FailureResult {
 /// `|Σ|` slice-emptiness checks per member instead of a τ-closure walk.
 /// Shared with the [`determinize`](crate::determinize) layer, whose
 /// per-subset failure annotation interns exactly this antichain.
-pub(crate) fn maximal_refusals(view: &SaturatedView, subset: &[u32]) -> Vec<Vec<u32>> {
+pub(crate) fn maximal_refusals(view: SaturatedView<'_>, subset: &[u32]) -> Vec<Vec<u32>> {
     let all_actions: Vec<u32> = (0..narrow(view.num_actions())).collect();
     let mut refusals: Vec<Vec<u32>> = subset
         .iter()
@@ -106,9 +107,9 @@ pub(crate) fn distinguishing_refusal(left: &[Vec<u32>], right: &[Vec<u32>]) -> O
 /// mention transitions).
 #[must_use]
 pub fn failure_equivalent_states(fsp: &Fsp, p: StateId, q: StateId) -> FailureResult {
-    let closure = tau_closure(fsp);
-    let view = SaturatedView::build(fsp, &closure);
-    failure_equivalent_states_with(fsp, &view, p, q)
+    let inst = weak_instance(fsp, &tau_closure(fsp));
+    let view = SaturatedView::of(&inst);
+    failure_equivalent_states_with(fsp, view, p, q)
 }
 
 /// [`failure_equivalent_states`] against a caller-provided saturated view —
@@ -116,7 +117,7 @@ pub fn failure_equivalent_states(fsp: &Fsp, p: StateId, q: StateId) -> FailureRe
 /// one weak transition relation.
 pub(crate) fn failure_equivalent_states_with(
     fsp: &Fsp,
-    view: &SaturatedView,
+    view: SaturatedView<'_>,
     p: StateId,
     q: StateId,
 ) -> FailureResult {
@@ -191,14 +192,14 @@ pub fn failures_up_to(
     p: StateId,
     max_len: usize,
 ) -> Vec<(Vec<String>, Vec<Vec<String>>)> {
-    let closure = tau_closure(fsp);
-    let view = SaturatedView::build(fsp, &closure);
+    let inst = weak_instance(fsp, &tau_closure(fsp));
+    let view = SaturatedView::of(&inst);
     let mut out = Vec::new();
-    let mut frontier: Vec<(Subset, Vec<String>)> = vec![(closure_of_view(&view, p), Vec::new())];
+    let mut frontier: Vec<(Subset, Vec<String>)> = vec![(closure_of_view(view, p), Vec::new())];
     for len in 0..=max_len {
         let mut next_frontier = Vec::new();
         for (subset, trace) in &frontier {
-            let refusals = maximal_refusals(&view, subset)
+            let refusals = maximal_refusals(view, subset)
                 .iter()
                 .map(|r| name_set(fsp, r))
                 .collect();
@@ -207,7 +208,7 @@ pub fn failures_up_to(
                 continue;
             }
             for a in fsp.action_ids() {
-                let nx = subset_step_view(&view, subset, a);
+                let nx = subset_step_view(view, subset, a);
                 if nx.is_empty() {
                     continue;
                 }

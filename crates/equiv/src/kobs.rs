@@ -35,12 +35,13 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use ccs_fsp::saturate::{tau_closure, SaturatedView};
+use ccs_fsp::saturate::tau_closure;
 use ccs_fsp::{ops, ActionId, Fsp, StateId};
 use ccs_partition::Partition;
 
 use crate::determinize::{self, SubsetAutomaton};
 use crate::language::{closure_of_view, subset_step_view, Subset};
+use crate::saturate::{weak_instance, SaturatedView};
 use crate::session::EquivSession;
 use crate::strong::extension_assignment;
 use crate::Equivalence;
@@ -55,11 +56,11 @@ use crate::Equivalence;
 /// candidate pair per level.
 #[must_use]
 pub fn kobs_partition(fsp: &Fsp, k: usize) -> Partition {
-    let closure = tau_closure(fsp);
-    let view = SaturatedView::build(fsp, &closure);
+    let inst = weak_instance(fsp, &tau_closure(fsp));
+    let view = SaturatedView::of(&inst);
     let mut current = Partition::from_assignment(&extension_assignment(fsp));
     for _ in 0..k {
-        current = refine_level(&view, &current);
+        current = refine_level(view, &current);
     }
     current
 }
@@ -87,7 +88,7 @@ pub fn kobs_partition_arena(fsp: &Fsp, k: usize) -> Partition {
 /// the `≈ₖ` hierarchy bottom-up, replacing the per-pair representative scan.
 pub(crate) fn arena_level(
     auto: &mut SubsetAutomaton,
-    view: &SaturatedView,
+    view: SaturatedView<'_>,
     num_states: usize,
     prev: &Partition,
 ) -> Partition {
@@ -100,14 +101,14 @@ pub fn kobs_equivalent_states(fsp: &Fsp, p: StateId, q: StateId, k: usize) -> bo
     if k == 0 {
         return fsp.same_extensions(p, q);
     }
-    let closure = tau_closure(fsp);
-    let view = SaturatedView::build(fsp, &closure);
+    let inst = weak_instance(fsp, &tau_closure(fsp));
+    let view = SaturatedView::of(&inst);
     let mut prev = Partition::from_assignment(&extension_assignment(fsp));
     for _ in 0..k - 1 {
-        prev = refine_level(&view, &prev);
+        prev = refine_level(view, &prev);
     }
     let mut scratch = ClassScratch::new(prev.num_blocks());
-    pair_equivalent(&view, &prev, &mut scratch, p, q)
+    pair_equivalent(view, &prev, &mut scratch, p, q)
 }
 
 /// Tests whether the start states of two processes are `≈ₖ`-equivalent.
@@ -124,7 +125,7 @@ pub fn kobs_equivalent(left: &Fsp, right: &Fsp, k: usize) -> bool {
 /// the shared [`SaturatedView`].  This is the slow per-pair path, retained
 /// as the oracle; the [`session`](crate::session) layer iterates
 /// [`arena_level`] instead.
-pub(crate) fn refine_level(view: &SaturatedView, prev: &Partition) -> Partition {
+pub(crate) fn refine_level(view: SaturatedView<'_>, prev: &Partition) -> Partition {
     let n = view.num_states();
     let mut assignment = vec![usize::MAX; n];
     let mut representatives: Vec<StateId> = Vec::new();
@@ -202,7 +203,7 @@ impl ClassScratch {
 /// Decides whether `p` and `q` are related at the level *above* `prev`:
 /// for every `s ∈ Σ*`, the class-sets of their `s`-derivatives agree.
 fn pair_equivalent(
-    view: &SaturatedView,
+    view: SaturatedView<'_>,
     prev: &Partition,
     scratch: &mut ClassScratch,
     p: StateId,

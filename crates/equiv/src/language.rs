@@ -12,10 +12,11 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use ccs_fsp::saturate::{tau_closure, SaturatedView, TauClosure};
+use ccs_fsp::saturate::{tau_closure, TauClosure};
 use ccs_fsp::{ops, ActionId, Fsp, Label, StateId};
 
 use crate::compact::narrow;
+use crate::saturate::SaturatedView;
 
 /// Outcome of a language-equivalence (or universality) test, with a witness
 /// word when the answer is negative.
@@ -64,7 +65,7 @@ pub(crate) fn subset_step(
 
 /// Like [`closure_of`], reading the ε column of a prebuilt
 /// [`SaturatedView`] instead of walking a [`TauClosure`].
-pub(crate) fn closure_of_view(view: &SaturatedView, p: StateId) -> Subset {
+pub(crate) fn closure_of_view(view: SaturatedView<'_>, p: StateId) -> Subset {
     view.epsilon_successors(p)
         .iter()
         .map(|s| narrow(s.index()))
@@ -75,7 +76,11 @@ pub(crate) fn closure_of_view(view: &SaturatedView, p: StateId) -> Subset {
 /// single slice lookup in a prebuilt [`SaturatedView`] (the view's columns
 /// already fold in the leading and trailing ε-closures, which is equivalent
 /// on ε-closed subsets).
-pub(crate) fn subset_step_view(view: &SaturatedView, subset: &[u32], action: ActionId) -> Subset {
+pub(crate) fn subset_step_view(
+    view: SaturatedView<'_>,
+    subset: &[u32],
+    action: ActionId,
+) -> Subset {
     let mut out: Vec<u32> = Vec::new();
     for &x in subset {
         out.extend(

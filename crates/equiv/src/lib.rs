@@ -40,8 +40,8 @@
 //!     session: the `strong` functions (`strong::strong_partition_with`
 //!     runs any solver) and the `limited` hierarchy functions.
 //! * **[`EquivSession`]** owns one process and computes each artifact *once*
-//!   — the τ-closure, the saturated weak relation (streamed directly into
-//!   the `ccs-partition` CSR, never materialized as a second process), and
+//!   — the τ-closure, the saturated weak relation (one `ccs-partition` CSR
+//!   laid out by [`saturate`], never materialized as a second process), and
 //!   one memoized partition per [`Equivalence`] — then answers
 //!   batches of pair queries ([`EquivSession::equivalent_pairs`]) or
 //!   classifies the whole state space ([`EquivSession::classify_all`]) from
@@ -89,6 +89,7 @@ pub mod limited;
 pub mod onthefly;
 pub mod query;
 pub mod relation;
+pub mod saturate;
 pub mod session;
 pub mod strong;
 pub mod traces;

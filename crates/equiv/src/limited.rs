@@ -14,10 +14,11 @@
 
 use std::collections::HashMap;
 
-use ccs_fsp::saturate::{tau_closure, SaturatedView};
+use ccs_fsp::saturate::tau_closure;
 use ccs_fsp::{ops, ActionId, Fsp, StateId};
 use ccs_partition::Partition;
 
+use crate::saturate::{weak_instance, SaturatedView};
 use crate::strong::extension_assignment;
 
 /// The refinement sequence `≃₀, ≃₁, …` of a process, computed until it
@@ -84,9 +85,9 @@ pub fn limited_hierarchy(fsp: &Fsp) -> LimitedHierarchy {
 /// or at convergence, whichever comes first.
 #[must_use]
 pub fn limited_hierarchy_up_to(fsp: &Fsp, max_rounds: usize) -> LimitedHierarchy {
-    let closure = tau_closure(fsp);
-    let view = SaturatedView::build(fsp, &closure);
-    hierarchy_from_view(fsp, &view, max_rounds)
+    let inst = weak_instance(fsp, &tau_closure(fsp));
+    let view = SaturatedView::of(&inst);
+    hierarchy_from_view(fsp, view, max_rounds)
 }
 
 /// The refinement loop behind [`limited_hierarchy_up_to`], reading the weak
@@ -95,7 +96,7 @@ pub fn limited_hierarchy_up_to(fsp: &Fsp, max_rounds: usize) -> LimitedHierarchy
 /// levels.
 pub(crate) fn hierarchy_from_view(
     fsp: &Fsp,
-    view: &SaturatedView,
+    view: SaturatedView<'_>,
     max_rounds: usize,
 ) -> LimitedHierarchy {
     let n = fsp.num_states();

@@ -62,11 +62,11 @@
 //! # Ok::<(), ccs_equiv::EquivError>(())
 //! ```
 
-use ccs_fsp::saturate::SaturatedView;
 use ccs_fsp::{ops, ActionId, Fsp};
 
 use crate::determinize::{grow, union, DetNotion, PairCache, SubsetAutomaton, SubsetId};
 use crate::failures::{distinguishing_refusal, maximal_refusals, name_set};
+use crate::saturate::SaturatedView;
 use crate::{EquivError, EquivSession, Equivalence};
 
 /// A distinguishing witness produced by a refuting on-the-fly search.
@@ -130,7 +130,7 @@ pub struct OtfOutcome {
 pub(crate) fn search(
     fsp: &Fsp,
     auto: &mut SubsetAutomaton,
-    view: &SaturatedView,
+    view: SaturatedView<'_>,
     cache: &mut PairCache,
     notion: DetNotion,
     left: SubsetId,
@@ -203,7 +203,7 @@ pub(crate) fn search(
 fn build_witness(
     fsp: &Fsp,
     auto: &SubsetAutomaton,
-    view: &SaturatedView,
+    view: SaturatedView<'_>,
     notion: DetNotion,
     pairs: &[(SubsetId, SubsetId)],
     provenance: &[Option<(usize, ActionId)>],

@@ -10,17 +10,17 @@
 //! ```text
 //!           Fsp
 //!            │
-//!       TauClosure  ─────────────┐
-//!        │       │               │
-//!  SaturatedView  weak edges ──► ccs-partition CSR (weak Instance)
-//!        │      │                      │
-//!        │  SubsetAutomaton     one Partition per
-//!        │   (memoized subset   Equivalence — the
-//!        │    arena + PairCache)  memoization key
-//!        │      │
-//!        │  product DFA ──► one refinement classifies
-//!        │      │           Language/Trace/Failure
-//!        │  ≈ₖ signatures ► one refinement per level
+//!       TauClosure
+//!            │  sorted weak rows, written in place
+//!            ▼
+//!  weak Instance (ccs-partition CSR) ──► one Partition per
+//!            │                           Equivalence — the
+//!  SaturatedView (borrows its arrays)    memoization key
+//!            │
+//!     SubsetAutomaton (memoized subset arena + PairCache)
+//!            │
+//!     product DFA ──► one refinement classifies Language/Trace/Failure
+//!     ≈ₖ signatures ► one refinement per level
 //! ```
 //!
 //! The PSPACE notions (`Language`, `Trace`, `Failure`, `KObservational`)
@@ -37,12 +37,12 @@
 //! [`EquivSession::representative_scan_partition`] for the determinized
 //! notions and [`kobs::kobs_partition`] for the levels.
 //!
-//! The weak transition relation is streamed straight from
-//! [`saturate::weak_edges`](ccs_fsp::saturate::weak_edges) into the
-//! [`GraphBuilder`] of `ccs-partition` — no intermediate saturated [`Fsp`]
-//! (and no per-state transition vectors) is ever materialized on this path;
-//! [`Instance::from_graph`] then adopts the built CSR without an edge-list
-//! round-trip.
+//! The weak transition relation has one copy: the weak [`Instance`], laid
+//! out by [`saturate::weak_instance`] row by row, each sorted row written
+//! straight into the CSR — no saturated [`Fsp`], no edge list, no sort.
+//! [`EquivSession::saturated_view`] borrows its arrays, so the observational
+//! refinement and the determinized notions read the same memory, and a
+//! τ-free [`EquivSession::apply_delta`] patches that one relation.
 //!
 //! # Shared sessions: the `&self` query path
 //!
@@ -93,16 +93,15 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ccs_fsp::saturate::{
-    tau_closure, weak_action_successors, weak_edges, SaturatedView, TauClosure,
-};
-use ccs_fsp::{ActionId, Fsp, Label, StateId};
-use ccs_partition::{incremental, solve, Algorithm, GraphBuilder, Instance, Partition};
+use ccs_fsp::saturate::{tau_closure, weak_action_successors, TauClosure};
+use ccs_fsp::{Fsp, Label, StateId};
+use ccs_partition::{incremental, solve, Algorithm, Instance, Partition};
 
 use crate::check::Equivalence;
 use crate::determinize::{self, DetNotion, PairCache, SubsetAutomaton};
 use crate::limited;
 use crate::onthefly::{self, OtfOutcome};
+use crate::saturate::{self, SaturatedView};
 use crate::EquivError;
 use crate::{failures, kobs, language, strong, traces};
 
@@ -136,8 +135,8 @@ pub struct SessionDeltaOutcome {
     /// States whose weak action rows actually changed (0 when the batch is
     /// weak-redundant — every artifact then survives untouched).
     pub weak_rows_changed: usize,
-    /// The cached [`SaturatedView`] was respliced in place rather than
-    /// rebuilt.
+    /// The session's one weak relation (the weak instance, which the
+    /// [`SaturatedView`] reads) was patched in place rather than rebuilt.
     pub view_patched: bool,
     /// The subset arena (and its pair caches) had to be dropped because an
     /// interned subset could reach a changed weak row.
@@ -173,7 +172,6 @@ pub struct SessionDeltaOutcome {
 pub struct EquivSession {
     fsp: Fsp,
     closure: OnceLock<TauClosure>,
-    view: OnceLock<SaturatedView>,
     strong_instance: OnceLock<Instance>,
     weak_instance: OnceLock<Instance>,
     /// The shared memoized subset automaton of the determinization layer
@@ -199,7 +197,6 @@ impl EquivSession {
         EquivSession {
             fsp,
             closure: OnceLock::new(),
-            view: OnceLock::new(),
             strong_instance: OnceLock::new(),
             weak_instance: OnceLock::new(),
             det: Mutex::new(DetState::default()),
@@ -240,11 +237,11 @@ impl EquivSession {
         self.closure_builds.load(Ordering::Relaxed)
     }
 
-    /// The CSR-backed weak transition relation (computed once, from the
-    /// cached closure).
-    pub fn saturated_view(&self) -> &SaturatedView {
-        self.view
-            .get_or_init(|| SaturatedView::build(&self.fsp, self.tau_closure()))
+    /// The weak transition relation by `(state, action)`: a view of
+    /// [`EquivSession::weak_instance`]'s arrays, so building either builds
+    /// both.
+    pub fn saturated_view(&self) -> SaturatedView<'_> {
+        SaturatedView::of(self.weak_instance())
     }
 
     /// The Lemma 3.1 strong-equivalence instance (computed once).
@@ -254,32 +251,12 @@ impl EquivSession {
     }
 
     /// The Theorem 4.1(a) instance: the weak transition relation over
-    /// `Σ ∪ {ε}` streamed directly into the partition core's CSR builder —
-    /// no intermediate saturated process — with the extension-set initial
-    /// partition.  Computed once.
+    /// `Σ ∪ {ε}`, laid out row by row from the cached closure
+    /// ([`saturate::weak_instance`]), with the extension-set initial
+    /// partition.  The session's only copy of `⇒`; computed once.
     pub fn weak_instance(&self) -> &Instance {
-        self.weak_instance.get_or_init(|| {
-            let closure = self.tau_closure();
-            let fsp = &self.fsp;
-            let eps = fsp.num_actions(); // the ε relation gets the last label
-            let mut builder = GraphBuilder::with_edge_capacity(
-                fsp.num_states(),
-                eps + 1,
-                fsp.num_states() + fsp.num_transitions(),
-            );
-            builder.extend_edges(weak_edges(fsp, closure).map(|e| {
-                (
-                    e.action.map_or(eps, ActionId::index),
-                    e.from.index(),
-                    e.to.index(),
-                )
-            }));
-            let mut inst = Instance::from_graph(builder.build());
-            for (s, block) in strong::extension_assignment(fsp).into_iter().enumerate() {
-                inst.set_initial_block(s, block);
-            }
-            inst
-        })
+        self.weak_instance
+            .get_or_init(|| saturate::weak_instance(&self.fsp, self.tau_closure()))
     }
 
     /// Size of the session's shared subset arena: 0 until some PSPACE query
@@ -584,15 +561,15 @@ impl EquivSession {
     ///   τ-edges, so the cached [`TauClosure`] (and the
     ///   [`EquivSession::closure_builds`] counter) survive.  The weak
     ///   action rows that *might* have changed are exactly those of states
-    ///   that τ-reach an edited source; their old rows are captured before
-    ///   the mutation and diffed against the recomputed ones.
+    ///   that τ-reach an edited source; the weak instance still holds their
+    ///   old rows, which are diffed against the recomputed ones.
     /// * **Weak-redundant batches keep everything.**  If no weak row
-    ///   changed, the saturated view, the weak instance, the subset arena
-    ///   and every non-strong partition are bit-for-bit still correct and
-    ///   stay put.
-    /// * **Dirty rows are respliced, not rebuilt.**  Otherwise the view is
-    ///   [patched](SaturatedView::patched) in place, the weak CSR takes the
-    ///   row diff in one relayout, and cached `Strong`/`Observational`
+    ///   changed, the weak instance (and so the saturated view), the subset
+    ///   arena and every non-strong partition are bit-for-bit still correct
+    ///   and stay put.
+    /// * **Dirty rows are patched, not rebuilt.**  Otherwise the weak
+    ///   instance takes the row diff in one relayout — the view reads the
+    ///   patched arrays — and cached `Strong`/`Observational`
     ///   partitions are delta-refined through
     ///   [`incremental::refine_delta`] — certificate-checked, so the result
     ///   is the coarsest solution, never an approximation.
@@ -618,8 +595,6 @@ impl EquivSession {
         additions: &[(StateId, Label, StateId)],
         removals: &[(StateId, Label, StateId)],
     ) -> SessionDeltaOutcome {
-        // Effective edits, computed read-only so the pre-mutation weak rows
-        // can still be captured below.
         let (eff_added, eff_removed) = self.fsp.effective_edits(additions, removals);
         let mut outcome = SessionDeltaOutcome {
             effective_additions: eff_added.len(),
@@ -634,59 +609,6 @@ impl EquivSession {
             .chain(&eff_removed)
             .all(|(_, l, _)| *l != Label::Tau);
         outcome.tau_touched = !tau_free;
-
-        // Pre-mutation capture: for a τ-free batch the retained closure is
-        // still the mutated process's closure, so the only weak rows that
-        // can change belong to states that τ-reach an edited source.  Their
-        // old action rows are recomputed here (cheaper than cloning the
-        // whole view) while the old process is still in hand.
-        let closure_live = self.closure.get().is_some();
-        let weak_live = self.view.get().is_some()
-            || self.weak_instance.get().is_some()
-            || self
-                .det
-                .get_mut()
-                .expect("det lock poisoned")
-                .automaton
-                .is_some()
-            || self
-                .partitions
-                .get_mut()
-                .expect("partitions lock poisoned")
-                .iter()
-                .any(|(notion, cell)| {
-                    !matches!(notion, Equivalence::Strong) && cell.get().is_some()
-                });
-        // Per-candidate weak successor rows (one Vec per action), snapshotted
-        // before the edit so the weak instance can be row-diffed after it.
-        type WeakRows = Vec<Vec<Vec<StateId>>>;
-        let pre_rows: Option<(Vec<StateId>, WeakRows)> = if tau_free && closure_live && weak_live {
-            let closure = self.closure.get().expect("closure checked live");
-            let mut sources: Vec<StateId> = eff_added
-                .iter()
-                .chain(&eff_removed)
-                .map(|&(f, _, _)| f)
-                .collect();
-            sources.sort_unstable();
-            sources.dedup();
-            let candidates: Vec<StateId> = self
-                .fsp
-                .state_ids()
-                .filter(|&p| sources.iter().any(|&s| closure.reaches(p, s)))
-                .collect();
-            let rows = candidates
-                .iter()
-                .map(|&p| {
-                    self.fsp
-                        .action_ids()
-                        .map(|a| weak_action_successors(&self.fsp, closure, p, a))
-                        .collect()
-                })
-                .collect();
-            Some((candidates, rows))
-        } else {
-            None
-        };
 
         self.fsp.apply_edge_delta(&eff_added, &eff_removed);
 
@@ -706,30 +628,28 @@ impl EquivSession {
         let strong_adds: Vec<(usize, usize, usize)> = eff_added.iter().map(to_strong).collect();
         let strong_removes: Vec<(usize, usize, usize)> =
             eff_removed.iter().map(to_strong).collect();
-        let strong_updated = if let Some(mut inst) = self.strong_instance.take() {
-            let fits = strong_adds
-                .iter()
-                .chain(&strong_removes)
-                .all(|&(l, _, _)| l < inst.num_labels());
-            if fits {
+        let strong_updated = match self.strong_instance.get_mut() {
+            Some(inst)
+                if strong_adds
+                    .iter()
+                    .chain(&strong_removes)
+                    .all(|&(l, _, _)| l < inst.num_labels()) =>
+            {
                 inst.apply_delta(&strong_adds, &strong_removes);
-                self.strong_instance
-                    .set(inst)
-                    .expect("strong instance slot just emptied");
                 true
-            } else {
+            }
+            _ => {
+                self.strong_instance = OnceLock::new();
                 false
             }
-        } else {
-            false
         };
 
-        // Weak side: three fates.  `Dropped` — the closure changed (or was
-        // never built alongside live weak artifacts), rebuild lazily.
-        // `Valid` — no weak row changed, keep everything.  `Updated` — the
-        // view is respliced, the weak CSR takes the row diff, dependents
-        // are retained exactly where the proof allows.
-        #[derive(PartialEq)]
+        // Weak side: three fates.  `Dropped` — the batch touched τ, so the
+        // closure and everything weak rebuild lazily.  `Valid` — no weak row
+        // changed, or there is no weak instance (every weak artifact reads
+        // it), so everything stays.  `Updated` — the weak instance takes the
+        // row diff in place, dependents are retained exactly where the proof
+        // allows.
         enum WeakFate {
             Dropped,
             Valid,
@@ -739,53 +659,58 @@ impl EquivSession {
         let mut weak_removes: Vec<(usize, usize, usize)> = Vec::new();
         let weak_fate = if !tau_free {
             self.closure = OnceLock::new();
-            self.view = OnceLock::new();
             self.weak_instance = OnceLock::new();
             let det = self.det.get_mut().expect("det lock poisoned");
             outcome.arena_dropped = det.automaton.is_some();
             *det = DetState::default();
             WeakFate::Dropped
-        } else if let Some((candidates, old_rows)) = pre_rows {
-            let closure = self.closure.get().expect("closure retained");
-            let mut dirty: Vec<StateId> = Vec::new();
-            for (ci, &p) in candidates.iter().enumerate() {
-                let mut changed = false;
+        } else if let (Some(closure), Some(inst)) =
+            (self.closure.get(), self.weak_instance.get_mut())
+        {
+            // The closure survives a τ-free batch, so the only weak rows
+            // that can change belong to states that τ-reach an edited
+            // source.  The instance still holds their old rows: each one
+            // that differs from the edited process's row is swapped out in
+            // one batch, whose effective edits are the row diff.
+            let mut sources: Vec<StateId> = eff_added
+                .iter()
+                .chain(&eff_removed)
+                .map(|&(f, _, _)| f)
+                .collect();
+            sources.sort_unstable();
+            sources.dedup();
+            let (mut adds, mut removes) = (Vec::new(), Vec::new());
+            for p in self.fsp.state_ids() {
+                if !sources.iter().any(|&s| closure.reaches(p, s)) {
+                    continue;
+                }
                 for a in self.fsp.action_ids() {
+                    let (l, from) = (a.index(), p.index());
                     let new_row = weak_action_successors(&self.fsp, closure, p, a);
-                    let old_row = &old_rows[ci][a.index()];
-                    if new_row != *old_row {
-                        changed = true;
-                        for &q in &new_row {
-                            if old_row.binary_search(&q).is_err() {
-                                weak_adds.push((a.index(), p.index(), q.index()));
-                            }
-                        }
-                        for &q in old_row {
-                            if new_row.binary_search(&q).is_err() {
-                                weak_removes.push((a.index(), p.index(), q.index()));
-                            }
-                        }
+                    let old_row = inst.successors(l, from);
+                    if !new_row
+                        .iter()
+                        .map(|q| q.index())
+                        .eq(old_row.iter().map(|q| q.index()))
+                    {
+                        adds.extend(new_row.iter().map(|q| (l, from, q.index())));
+                        removes.extend(old_row.iter().map(|q| (l, from, q.index())));
                     }
                 }
-                if changed {
-                    dirty.push(p);
-                }
             }
+            (weak_adds, weak_removes) = inst.apply_delta(&adds, &removes);
+            let mut dirty: Vec<StateId> = weak_adds
+                .iter()
+                .chain(&weak_removes)
+                .map(|&(_, from, _)| StateId::from_index(from))
+                .collect();
+            dirty.sort_unstable();
+            dirty.dedup();
             outcome.weak_rows_changed = dirty.len();
             if dirty.is_empty() {
                 WeakFate::Valid
             } else {
-                if let Some(view) = self.view.take() {
-                    let patched = view.patched(&self.fsp, closure, &dirty);
-                    self.view.set(patched).expect("view slot just emptied");
-                    outcome.view_patched = true;
-                }
-                if let Some(mut inst) = self.weak_instance.take() {
-                    inst.apply_delta(&weak_adds, &weak_removes);
-                    self.weak_instance
-                        .set(inst)
-                        .expect("weak instance slot just emptied");
-                }
+                outcome.view_patched = true;
                 let det = self.det.get_mut().expect("det lock poisoned");
                 if let Some(auto) = det.automaton.as_ref() {
                     let in_cone = backward_reach(&self.fsp, &eff_removed, &dirty);
@@ -801,8 +726,6 @@ impl EquivSession {
                 WeakFate::Updated
             }
         } else {
-            // τ-free with no live weak artifacts (or none derivable — the
-            // closure was never built): nothing weak exists to repair.
             WeakFate::Valid
         };
 
@@ -816,45 +739,30 @@ impl EquivSession {
             let Some(prev) = cell.get().cloned() else {
                 continue; // never computed: drop the empty cell
             };
-            let replacement: Option<Partition> = match notion {
-                Equivalence::Strong => {
-                    if strong_updated {
-                        let inst = self.strong_instance.get().expect("updated in place");
-                        let (next, _path) =
-                            incremental::refine_delta(inst, &prev, &strong_adds, &strong_removes);
-                        Some(next)
-                    } else {
-                        None
-                    }
-                }
-                // Level 0 of `≈ₖ` is the extension-set partition — edge
-                // edits cannot touch it.
-                Equivalence::KObservational(0) => {
-                    map.insert(notion, cell);
-                    continue;
-                }
-                Equivalence::Observational => match weak_fate {
-                    WeakFate::Valid => {
-                        map.insert(notion, cell);
-                        continue;
-                    }
-                    WeakFate::Updated if self.weak_instance.get().is_some() => {
-                        let inst = self.weak_instance.get().expect("updated in place");
-                        let (next, _path) =
-                            incremental::refine_delta(inst, &prev, &weak_adds, &weak_removes);
-                        Some(next)
-                    }
-                    _ => None,
-                },
-                _ => match weak_fate {
-                    WeakFate::Valid => {
-                        map.insert(notion, cell);
-                        continue;
-                    }
-                    _ => None,
-                },
+            // Level 0 of `≈ₖ` is the extension-set partition — edge edits
+            // cannot touch it — and a valid weak fate keeps every notion
+            // but the strong one.
+            let untouched = match notion {
+                Equivalence::Strong => false,
+                Equivalence::KObservational(0) => true,
+                _ => matches!(weak_fate, WeakFate::Valid),
             };
-            if let Some(next) = replacement {
+            if untouched {
+                map.insert(notion, cell);
+                continue;
+            }
+            let repaired = match (notion, &weak_fate) {
+                (Equivalence::Strong, _) if strong_updated => {
+                    Some((&self.strong_instance, &strong_adds, &strong_removes))
+                }
+                (Equivalence::Observational, WeakFate::Updated) => {
+                    Some((&self.weak_instance, &weak_adds, &weak_removes))
+                }
+                _ => None,
+            };
+            if let Some((inst, adds, removes)) = repaired {
+                let inst = inst.get().expect("updated in place");
+                let (next, _path) = incremental::refine_delta(inst, &prev, adds, removes);
                 let fresh: PartitionCell = Arc::default();
                 fresh
                     .set(Arc::new(next))
@@ -891,9 +799,6 @@ impl EquivSession {
         let mut bytes = self.fsp.resident_bytes();
         if let Some(closure) = self.closure.get() {
             bytes += closure.resident_bytes();
-        }
-        if let Some(view) = self.view.get() {
-            bytes += view.resident_bytes();
         }
         for inst in [self.strong_instance.get(), self.weak_instance.get()]
             .into_iter()
@@ -1041,7 +946,7 @@ mod tests {
             );
             // Independent oracle: the pre-refactor pipeline — materialize
             // the saturated process, then refine it — must agree with the
-            // streamed session instance.
+            // session's weak instance.
             let legacy =
                 crate::strong::strong_partition_with(&ccs_fsp::saturate::saturate(&f).fsp, alg);
             assert_eq!(
@@ -1053,7 +958,7 @@ mod tests {
     }
 
     /// The session must also agree with the legacy pipeline when the view
-    /// is built before the weak instance streams its edges.
+    /// is asked for first (it builds the weak instance it reads).
     #[test]
     fn weak_instance_derived_from_cached_view_matches_legacy() {
         let f = format::parse(
@@ -1061,7 +966,7 @@ mod tests {
         )
         .unwrap();
         let session = EquivSession::for_process(&f);
-        session.saturated_view(); // a cached view must not change the weak instance
+        session.saturated_view();
         let from_session = session.classify_all(Equivalence::Observational);
         let legacy = crate::strong::strong_partition(&ccs_fsp::saturate::saturate(&f).fsp);
         assert_eq!(from_session.as_ref(), legacy.partition());

@@ -58,8 +58,8 @@ impl WeakPartition {
 /// every solver to.
 ///
 /// Runs `algorithm` over the weak instance of a throwaway [`EquivSession`],
-/// which streams the weak transition relation straight into the partition
-/// core's CSR builder — the classical saturated process of
+/// which lays the weak transition relation out row by row in the partition
+/// core's CSR — the classical saturated process of
 /// [`ccs_fsp::saturate::saturate`] is never materialized on this path.
 #[must_use]
 pub fn weak_partition_with(fsp: &Fsp, algorithm: Algorithm) -> WeakPartition {

@@ -10,7 +10,6 @@
 
 use ccs_equiv::determinize::{DetNotion, SubsetAutomaton};
 use ccs_equiv::{EquivSession, Equivalence};
-use ccs_fsp::saturate::{tau_closure, SaturatedView};
 use ccs_fsp::Fsp;
 use ccs_partition::{solve, Algorithm, Dfa, Partition};
 use ccs_workloads::{families, random, RandomConfig};
@@ -55,17 +54,16 @@ fn determinized_classification_matches_oracle_on_families() {
 #[test]
 fn every_solver_classifies_the_blowup_family_identically() {
     let fsp = families::det_blowup(14, 3);
-    let closure = tau_closure(&fsp);
-    let view = SaturatedView::build(&fsp, &closure);
     let session = EquivSession::for_process(&fsp);
+    let view = session.saturated_view();
     for notion in NOTIONS {
         let oracle = session.representative_scan_partition(notion);
         assert_eq!(session.classify_all(notion).as_ref(), &oracle, "{notion}");
         let mut auto = SubsetAutomaton::new(&fsp);
-        let starts: Vec<u32> = fsp.state_ids().map(|s| auto.start(&view, s)).collect();
-        auto.explore(&view);
+        let starts: Vec<u32> = fsp.state_ids().map(|s| auto.start(view, s)).collect();
+        auto.explore(view);
         let det = DetNotion::of(notion).unwrap();
-        let classes = auto.classes(&view, det);
+        let classes = auto.classes(view, det);
         let dfa = Dfa::from_subset_automaton(
             auto.num_actions(),
             SubsetAutomaton::DEAD as usize,

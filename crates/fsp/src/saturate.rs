@@ -17,12 +17,12 @@
 //! constants on sparse graphs than the adjacency-matrix formulation; the
 //! matrix variant is provided as [`tau_closure_matrix`] for cross-checking.
 //!
-//! The weak relation itself is exposed three ways, from cheapest to most
-//! convenient: [`weak_edges`] streams it edge by edge (for consumers that
-//! lay it out themselves, e.g. a partition-refinement graph builder),
-//! [`SaturatedView`] lays it out once as a flat CSR with slice access per
-//! `(state, action)` column, and [`saturate`] materializes the classical
-//! saturated process `P̂` as a second [`Fsp`] (the compatibility path).
+//! The weak relation is exposed row by row: [`weak_action_successors`]
+//! returns one sorted `(state, action)` row, which is all the equivalence
+//! checkers need to lay `⇒` out once as a partition-refinement instance
+//! (`ccs_equiv::saturate`).  [`saturate`] materializes the classical
+//! saturated process `P̂` as a second [`Fsp`] — the slow path that layout is
+//! tested against.
 
 use std::collections::VecDeque;
 
@@ -176,269 +176,6 @@ pub fn weakly_enabled_actions(fsp: &Fsp, closure: &TauClosure, p: StateId) -> Ve
     out
 }
 
-/// One edge of the weak transition relation `⇒` over `Σ ∪ {ε}`.
-///
-/// Produced by [`weak_edges`]; `action == None` is the ε column
-/// (`from ⇒ε to`), `action == Some(a)` the observable column
-/// (`from ⇒a to`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WeakEdge {
-    /// The source state `p`.
-    pub from: StateId,
-    /// `None` for `⇒ε`, `Some(a)` for `⇒a`.
-    pub action: Option<ActionId>,
-    /// The target state `q`.
-    pub to: StateId,
-}
-
-/// Streams the weak transition relation of Theorem 4.1(a) edge by edge,
-/// without materializing a saturated process.
-///
-/// Edges come out grouped by source state (ascending); within one state the
-/// observable columns appear in action order followed by the ε column, and
-/// each column's targets are sorted and duplicate-free.  Consumers that lay
-/// the edges out (the CSR-backed [`SaturatedView`], or a downstream graph
-/// builder) can therefore append in a single pass.
-#[must_use]
-pub fn weak_edges<'a>(fsp: &'a Fsp, closure: &'a TauClosure) -> WeakEdges<'a> {
-    WeakEdges {
-        fsp,
-        closure,
-        next_state: 0,
-        buf: Vec::new().into_iter(),
-    }
-}
-
-/// Iterator over the weak transition relation; see [`weak_edges`].
-#[derive(Debug)]
-pub struct WeakEdges<'a> {
-    fsp: &'a Fsp,
-    closure: &'a TauClosure,
-    next_state: usize,
-    /// Edges of the current source state, drained before the next state's
-    /// columns are computed — the only transient storage on this path.
-    buf: std::vec::IntoIter<WeakEdge>,
-}
-
-impl Iterator for WeakEdges<'_> {
-    type Item = WeakEdge;
-
-    fn next(&mut self) -> Option<WeakEdge> {
-        loop {
-            if let Some(edge) = self.buf.next() {
-                return Some(edge);
-            }
-            if self.next_state >= self.fsp.num_states() {
-                return None;
-            }
-            let p = StateId::from_index(self.next_state);
-            self.next_state += 1;
-            let mut edges = Vec::new();
-            for a in self.fsp.action_ids() {
-                for to in weak_action_successors(self.fsp, self.closure, p, a) {
-                    edges.push(WeakEdge {
-                        from: p,
-                        action: Some(a),
-                        to,
-                    });
-                }
-            }
-            for &to in self.closure.successors(p) {
-                edges.push(WeakEdge {
-                    from: p,
-                    action: None,
-                    to,
-                });
-            }
-            self.buf = edges.into_iter();
-        }
-    }
-}
-
-/// A CSR-backed read-only view of the saturated (weak) transition relation:
-/// the `P̂` of Theorem 4.1(a) laid out as flat slices instead of a second
-/// [`Fsp`].
-///
-/// For every `(state, column)` pair — the columns are the observable actions
-/// of the underlying process plus ε — the sorted, duplicate-free weak
-/// successor set is a slice into one contiguous target array.  This is what
-/// the equivalence checkers iterate when they repeatedly need
-/// `{q | p ⇒σ q}`: one `O(1)` slice lookup replaces the per-query
-/// closure-walk of [`weak_action_successors`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SaturatedView {
-    num_states: usize,
-    num_actions: usize,
-    /// `offsets[p·(|Σ|+1) + c] .. offsets[p·(|Σ|+1) + c + 1]` delimits the
-    /// targets of column `c` at state `p`; column `|Σ|` is ε.  Stored as
-    /// `u32` — the weak relation of any process this crate can hold stays
-    /// far below 2³² edges, and the offset table is one of the largest
-    /// resident structures of a session.
-    offsets: Vec<u32>,
-    targets: Vec<StateId>,
-}
-
-impl SaturatedView {
-    /// Lays out the weak transition relation of `fsp` by a single pass over
-    /// [`weak_edges`].
-    #[must_use]
-    pub fn build(fsp: &Fsp, closure: &TauClosure) -> Self {
-        let n = fsp.num_states();
-        let k = fsp.num_actions();
-        let slots = n * (k + 1);
-        let narrow = |len: usize| {
-            u32::try_from(len).expect("weak edge count exceeds the 32-bit offset range")
-        };
-        let mut offsets = vec![0u32; slots + 1];
-        let mut targets: Vec<StateId> = Vec::new();
-        let mut cur_slot = 0usize;
-        for edge in weak_edges(fsp, closure) {
-            let slot = edge.from.index() * (k + 1) + edge.action.map_or(k, ActionId::index);
-            debug_assert!(slot >= cur_slot, "weak_edges must stream in slot order");
-            while cur_slot < slot {
-                cur_slot += 1;
-                offsets[cur_slot] = narrow(targets.len());
-            }
-            targets.push(edge.to);
-        }
-        while cur_slot < slots {
-            cur_slot += 1;
-            offsets[cur_slot] = narrow(targets.len());
-        }
-        SaturatedView {
-            num_states: n,
-            num_actions: k,
-            offsets,
-            targets,
-        }
-    }
-
-    /// Number of states (identical to the underlying process).
-    #[must_use]
-    pub fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    /// Number of observable actions `|Σ|` (the ε column is extra).
-    #[must_use]
-    pub fn num_actions(&self) -> usize {
-        self.num_actions
-    }
-
-    /// Total number of weak edges over all columns.
-    #[must_use]
-    pub fn num_weak_edges(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Heap bytes held by the CSR view (offset table plus target array),
-    /// measured from live container capacities.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.targets.capacity() * std::mem::size_of::<StateId>()
-    }
-
-    #[inline]
-    fn column(&self, p: StateId, col: usize) -> &[StateId] {
-        let slot = p.index() * (self.num_actions + 1) + col;
-        &self.targets[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
-    }
-
-    /// The weak successor set `{q | p ⇒a q}`, sorted and duplicate-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` or `action` is out of range.
-    #[must_use]
-    pub fn successors(&self, p: StateId, action: ActionId) -> &[StateId] {
-        assert!(action.index() < self.num_actions, "action out of range");
-        assert!(p.index() < self.num_states, "state out of range");
-        self.column(p, action.index())
-    }
-
-    /// The ε column `{q | p ⇒ε q}` — the τ-closure of `p`, always containing
-    /// `p` itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    #[must_use]
-    pub fn epsilon_successors(&self, p: StateId) -> &[StateId] {
-        assert!(p.index() < self.num_states, "state out of range");
-        self.column(p, self.num_actions)
-    }
-
-    /// The observable actions weakly enabled at `p` (`∃q: p ⇒a q`), in
-    /// action order — the refusal-set complement of the failures semantics,
-    /// answered by `|Σ|` slice-emptiness checks.
-    pub fn weakly_enabled(&self, p: StateId) -> impl Iterator<Item = ActionId> + '_ {
-        (0..self.num_actions)
-            .filter(move |&c| !self.column(p, c).is_empty())
-            .map(ActionId::from_index)
-    }
-
-    /// Re-lays the view with the rows of `dirty` states recomputed from the
-    /// (already mutated) process and its (still valid) τ-closure, copying
-    /// every clean row's slices verbatim — the mutation-path alternative to
-    /// a full [`SaturatedView::build`] when an edge batch only perturbed a
-    /// few states' weak successor sets.
-    ///
-    /// The caller owns the soundness obligation: `dirty` must cover every
-    /// state whose weak successors could have changed (for a τ-free batch,
-    /// the backward τ-closure of the delta sources).  `fsp` and `closure`
-    /// must describe the same state and action alphabet the view was built
-    /// over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process shape diverges from the view or a dirty state
-    /// is out of range.
-    #[must_use]
-    pub fn patched(&self, fsp: &Fsp, closure: &TauClosure, dirty: &[StateId]) -> SaturatedView {
-        assert_eq!(fsp.num_states(), self.num_states, "state count diverged");
-        assert_eq!(fsp.num_actions(), self.num_actions, "action count diverged");
-        let k = self.num_actions;
-        let mut is_dirty = vec![false; self.num_states];
-        for &p in dirty {
-            is_dirty[p.index()] = true;
-        }
-        let narrow = |len: usize| {
-            u32::try_from(len).expect("weak edge count exceeds the 32-bit offset range")
-        };
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        offsets.push(0u32);
-        let mut targets: Vec<StateId> = Vec::with_capacity(self.targets.len());
-        for (p, &p_dirty) in is_dirty.iter().enumerate() {
-            let sid = StateId::from_index(p);
-            if p_dirty {
-                for a in 0..k {
-                    targets.extend(weak_action_successors(
-                        fsp,
-                        closure,
-                        sid,
-                        ActionId::from_index(a),
-                    ));
-                    offsets.push(narrow(targets.len()));
-                }
-                targets.extend_from_slice(closure.successors(sid));
-                offsets.push(narrow(targets.len()));
-            } else {
-                for c in 0..=k {
-                    targets.extend_from_slice(self.column(sid, c));
-                    offsets.push(narrow(targets.len()));
-                }
-            }
-        }
-        SaturatedView {
-            num_states: self.num_states,
-            num_actions: k,
-            offsets,
-            targets,
-        }
-    }
-}
-
 /// A τ-saturated process: the observable FSP `P̂` over `Σ ∪ {ε}` of
 /// Theorem 4.1(a), plus bookkeeping to identify the ε column.
 #[derive(Clone, Debug)]
@@ -459,54 +196,53 @@ pub struct Saturated {
 /// The size of the saturated transition relation is `O(n²·|Σ|)` in the worst
 /// case (the paper bounds it by `O(n²·m)` using per-symbol matrices).
 ///
-/// This materializes a full second [`Fsp`] and is kept as the compatibility
-/// path; consumers that only need slice access to the weak successor sets
-/// should prefer [`SaturatedView`], and consumers that stream the relation
-/// elsewhere (e.g. into a partition-refinement instance) should consume
-/// [`weak_edges`] directly.
+/// This materializes a full second [`Fsp`] and is kept as the independent
+/// slow path the equivalence checkers' weak instance is tested against.
 #[must_use]
 pub fn saturate(fsp: &Fsp) -> Saturated {
     let closure = tau_closure(fsp);
     saturate_with_closure(fsp, &closure)
 }
 
-/// Like [`saturate`], reusing an already-computed τ-closure.  A thin wrapper
-/// that collects [`weak_edges`] into process form.
+/// Like [`saturate`], reusing an already-computed τ-closure.  Each state's
+/// transitions are its [`weak_action_successors`] rows in action order,
+/// followed by its ε row.
 #[must_use]
 pub fn saturate_with_closure(fsp: &Fsp, closure: &TauClosure) -> Saturated {
-    let mut actions = fsp_actions_clone(fsp);
+    let mut actions = fsp.actions.clone();
     let eps_raw = actions.intern(EPSILON_ACTION);
     let epsilon = ActionId::from_index(eps_raw as usize);
-    let mut states: Vec<StateData> = fsp
+    let states: Vec<StateData> = fsp
         .state_ids()
-        .map(|p| StateData {
-            name: fsp.state_name(p).map(str::to_owned),
-            extensions: fsp.extensions(p).clone(),
-            transitions: Vec::new(),
+        .map(|p| {
+            let mut transitions = Vec::new();
+            for a in fsp.action_ids() {
+                transitions.extend(weak_action_successors(fsp, closure, p, a).into_iter().map(
+                    |target| Transition {
+                        label: Label::Act(a),
+                        target,
+                    },
+                ));
+            }
+            transitions.extend(closure.successors(p).iter().map(|&target| Transition {
+                label: Label::Act(epsilon),
+                target,
+            }));
+            StateData {
+                name: fsp.state_name(p).map(str::to_owned),
+                extensions: fsp.extensions(p).clone(),
+                transitions,
+            }
         })
         .collect();
-    for edge in weak_edges(fsp, closure) {
-        states[edge.from.index()].transitions.push(Transition {
-            label: Label::Act(edge.action.unwrap_or(epsilon)),
-            target: edge.to,
-        });
-    }
     let sat = Fsp::from_parts(
         format!("{}^sat", fsp.name()),
         fsp.start(),
         states,
         actions,
-        fsp_vars_clone(fsp),
+        fsp.vars.clone(),
     );
     Saturated { fsp: sat, epsilon }
-}
-
-fn fsp_actions_clone(fsp: &Fsp) -> crate::interner::Interner {
-    fsp.actions.clone()
-}
-
-fn fsp_vars_clone(fsp: &Fsp) -> crate::interner::Interner {
-    fsp.vars.clone()
 }
 
 /// Computes, for every state, its weak `s`-derivative set for a string `s`
@@ -654,86 +390,6 @@ mod tests {
         assert_eq!(weak_string_derivatives(&f, &cl, p, &[b]).len(), 1);
         assert!(weak_string_derivatives(&f, &cl, p, &[a, a]).is_empty());
         assert!(weak_string_derivatives(&f, &cl, p, &[b, a]).is_empty());
-    }
-
-    #[test]
-    fn weak_edges_match_the_materialized_saturation() {
-        let f = sample();
-        let cl = tau_closure(&f);
-        let sat = saturate_with_closure(&f, &cl);
-        let mut streamed = 0usize;
-        for e in weak_edges(&f, &cl) {
-            let label = Label::Act(e.action.unwrap_or(sat.epsilon));
-            assert!(
-                sat.fsp.has_transition(e.from, label, e.to),
-                "streamed edge missing from saturated process"
-            );
-            streamed += 1;
-        }
-        assert_eq!(streamed, sat.fsp.num_transitions());
-    }
-
-    #[test]
-    fn saturated_view_slices_agree_with_helpers() {
-        let f = sample();
-        let cl = tau_closure(&f);
-        let view = SaturatedView::build(&f, &cl);
-        assert_eq!(view.num_states(), f.num_states());
-        assert_eq!(view.num_actions(), f.num_actions());
-        let mut total = 0usize;
-        for p in f.state_ids() {
-            assert_eq!(view.epsilon_successors(p), cl.successors(p));
-            total += view.epsilon_successors(p).len();
-            for a in f.action_ids() {
-                let slice = view.successors(p, a);
-                assert_eq!(slice, weak_action_successors(&f, &cl, p, a).as_slice());
-                total += slice.len();
-            }
-            let enabled: Vec<ActionId> = view.weakly_enabled(p).collect();
-            assert_eq!(enabled, weakly_enabled_actions(&f, &cl, p));
-        }
-        assert_eq!(view.num_weak_edges(), total);
-    }
-
-    #[test]
-    fn saturated_view_handles_trailing_empty_slots() {
-        // The last state is dead: its slots must still be laid out.
-        let mut b = Fsp::builder("tail");
-        b.transition("p", "a", "q");
-        let f = b.build().unwrap();
-        let cl = tau_closure(&f);
-        let view = SaturatedView::build(&f, &cl);
-        let q = f.state_by_name("q").unwrap();
-        let a = f.action_id("a").unwrap();
-        assert!(view.successors(q, a).is_empty());
-        assert_eq!(view.epsilon_successors(q), &[q]);
-        assert!(view.weakly_enabled(q).next().is_none());
-    }
-
-    #[test]
-    fn patched_view_matches_a_full_rebuild() {
-        let mut f = sample();
-        let cl = tau_closure(&f);
-        let view = SaturatedView::build(&f, &cl);
-        // A τ-free edit: s gains an observable edge back to p.  The weak
-        // rows of every state that τ-reaches a source (here: r ⇒ε s and s
-        // itself... plus p, q which reach nothing new — dirty must cover
-        // the backward τ-closure of the source s: {r, s}).
-        let s = f.state_by_name("s").unwrap();
-        let p = f.state_by_name("p").unwrap();
-        let r = f.state_by_name("r").unwrap();
-        let b = f.action_id("b").unwrap();
-        f.apply_edge_delta(&[(s, Label::Act(b), p)], &[]);
-        let patched = view.patched(&f, &cl, &[r, s]);
-        assert_eq!(patched, SaturatedView::build(&f, &cl));
-    }
-
-    #[test]
-    fn patched_view_with_no_dirty_states_is_identical() {
-        let f = sample();
-        let cl = tau_closure(&f);
-        let view = SaturatedView::build(&f, &cl);
-        assert_eq!(view.patched(&f, &cl, &[]), view);
     }
 
     #[test]

@@ -30,6 +30,12 @@
 //! [`LabeledGraph::max_fanout`] — the parameter of the Kanellakis–Smolka
 //! `O(c²·n·log n)` bound — is an `O(1)` field read instead of a rescan.
 //!
+//! Producers whose rows already come out sorted — the weak relation `⇒`
+//! of `ccs-equiv`, a DFA's one-step rows — skip the builder:
+//! [`LabeledGraph::from_rows`] writes each row straight into the successor
+//! CSR and fills the predecessor side by the counting pass the builder's
+//! layout uses too, with no edge list and no sort.
+//!
 //! A built graph is not a dead end: [`LabeledGraph::edited_with`] removes
 //! and adds a batch of edges in one relayout, by a sorted two-way merge in
 //! `O(m + p log p)` (for `p` edited edges), which is what makes incremental
@@ -243,6 +249,51 @@ impl LabeledGraph {
         layout(self.num_elements, self.num_labels, &merged)
     }
 
+    /// Lays out a graph from its successor rows, with no edge list and no
+    /// sort: `row(l, x, out)` appends `fₗ(x)`, sorted and duplicate-free, to
+    /// `out`.  It is called once per `(label, element)` slot in label-major
+    /// order — the CSR's own order — so each row lands in place, and one
+    /// counting pass then fills the predecessor side.  `O(m + k·n)` plus the
+    /// cost of the rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either count exceeds the packed id range, or if a row is not
+    /// sorted, duplicate-free and in range.
+    #[must_use]
+    pub fn from_rows(
+        num_elements: usize,
+        num_labels: usize,
+        mut row: impl FnMut(usize, usize, &mut Vec<StateId>),
+    ) -> LabeledGraph {
+        let (n, k) = (num_elements, num_labels);
+        if let Err(e) = ids::check_ground_set(n).and(ids::check_ground_set(k)) {
+            panic!("{e}");
+        }
+        let mut succ_offsets = Vec::with_capacity(k * n + 1);
+        succ_offsets.push(0u32);
+        let mut succ_targets: Vec<StateId> = Vec::new();
+        let mut max_fanout = 0;
+        for l in 0..k {
+            for x in 0..n {
+                let start = succ_targets.len();
+                row(l, x, &mut succ_targets);
+                let fresh = &succ_targets[start..];
+                assert!(
+                    fresh.windows(2).all(|w| w[0] < w[1])
+                        && fresh.last().map_or(true, |t| t.index() < n),
+                    "rows must be sorted, duplicate-free and in range"
+                );
+                max_fanout = max_fanout.max(fresh.len());
+                succ_offsets.push(ids::narrow(succ_targets.len()));
+            }
+        }
+        // Drop the growth slack: the layout is resident for a session's life.
+        succ_targets.shrink_to_fit();
+
+        with_predecessors(n, k, succ_offsets, succ_targets, max_fanout)
+    }
+
     /// Whether `to ∈ fₗ(from)` — a binary search over the sorted successor
     /// slice, `O(log c)`.
     ///
@@ -284,25 +335,46 @@ fn layout(n: usize, k: usize, edges: &[Edge]) -> LabeledGraph {
         succ_offsets[i + 1] += succ_offsets[i];
     }
     let succ_targets: Vec<StateId> = edges.iter().map(|&(_, _, to)| to).collect();
+    with_predecessors(n, k, succ_offsets, succ_targets, max_fanout as usize)
+}
 
+/// Completes a successor CSR with its predecessor side — the one counting
+/// pass both [`layout`] and [`LabeledGraph::from_rows`] end in.
+fn with_predecessors(
+    n: usize,
+    k: usize,
+    succ_offsets: Vec<u32>,
+    succ_targets: Vec<StateId>,
+    max_fanout: usize,
+) -> LabeledGraph {
     // Predecessors: count per (label, to) slot, prefix-sum, then place
-    // sources with a moving cursor.  Scanning the sorted edge list keeps
-    // each predecessor list sorted by source.
+    // sources with a moving cursor.  Walking the successor slots in
+    // order keeps each predecessor list sorted by source.
+    let slots = k * n;
     let mut pred_offsets = vec![0u32; slots + 1];
-    for &(l, _, to) in edges {
-        pred_offsets[l.index() * n + to.index() + 1] += 1;
+    for l in 0..k {
+        let label = succ_offsets[l * n] as usize..succ_offsets[(l + 1) * n] as usize;
+        for &to in &succ_targets[label] {
+            pred_offsets[l * n + to.index() + 1] += 1;
+        }
     }
     for i in 0..slots {
         pred_offsets[i + 1] += pred_offsets[i];
     }
     let mut cursor = pred_offsets.clone();
-    let mut pred_targets = vec![StateId::from_index(0); edges.len()];
-    for &(l, from, to) in edges {
-        let s = l.index() * n + to.index();
-        pred_targets[cursor[s] as usize] = from;
-        cursor[s] += 1;
+    let mut pred_targets = vec![StateId::from_index(0); succ_targets.len()];
+    for l in 0..k {
+        for from in 0..n {
+            let slot = l * n + from;
+            let row = succ_offsets[slot] as usize..succ_offsets[slot + 1] as usize;
+            let source = StateId::from_index(from);
+            for &to in &succ_targets[row] {
+                let s = l * n + to.index();
+                pred_targets[cursor[s] as usize] = source;
+                cursor[s] += 1;
+            }
+        }
     }
-
     LabeledGraph {
         num_elements: n,
         num_labels: k,
@@ -311,7 +383,7 @@ fn layout(n: usize, k: usize, edges: &[Edge]) -> LabeledGraph {
         succ_targets,
         pred_offsets,
         pred_targets,
-        max_fanout: max_fanout as usize,
+        max_fanout,
     }
 }
 
@@ -367,53 +439,6 @@ impl GraphBuilder {
         })
     }
 
-    /// Like [`GraphBuilder::new`], pre-allocating room for `edges` edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either count exceeds the packed id range.
-    #[must_use]
-    pub fn with_edge_capacity(num_elements: usize, num_labels: usize, edges: usize) -> Self {
-        let mut b = GraphBuilder::new(num_elements, num_labels);
-        b.edges.reserve(edges);
-        b
-    }
-
-    /// Like [`GraphBuilder::try_new`], pre-allocating room for `edges` edges.
-    pub fn try_with_edge_capacity(
-        num_elements: usize,
-        num_labels: usize,
-        edges: usize,
-    ) -> Result<Self, IdOverflow> {
-        let mut b = GraphBuilder::try_new(num_elements, num_labels)?;
-        b.edges.reserve(edges);
-        Ok(b)
-    }
-
-    /// Number of elements `n`.
-    #[must_use]
-    pub fn num_elements(&self) -> usize {
-        self.num_elements
-    }
-
-    /// Number of labelled relations `k`.
-    #[must_use]
-    pub fn num_labels(&self) -> usize {
-        self.num_labels
-    }
-
-    /// Number of recorded edges, duplicates included (deduplication happens
-    /// at [`GraphBuilder::build`] time).
-    #[must_use]
-    pub fn num_recorded_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Reserves room for at least `additional` further edges.
-    pub fn reserve_edges(&mut self, additional: usize) {
-        self.edges.reserve(additional);
-    }
-
     /// Records `to ∈ fₗ(from)`.
     ///
     /// # Panics
@@ -432,10 +457,7 @@ impl GraphBuilder {
         ));
     }
 
-    /// Records a whole batch of `(label, from, to)` edges — the streaming
-    /// entry point used by saturation and the incremental `Instance` path,
-    /// so edge producers never materialize an intermediate per-element
-    /// adjacency structure.
+    /// Records a whole batch of `(label, from, to)` edges.
     ///
     /// # Panics
     ///
@@ -549,7 +571,7 @@ mod tests {
         let err = GraphBuilder::try_new(crate::ids::MAX_ELEMENTS + 1, 1)
             .expect_err("oversize ground set must not build");
         assert_eq!(err.index, crate::ids::MAX_ELEMENTS);
-        assert!(GraphBuilder::try_with_edge_capacity(4, usize::MAX, 0).is_err());
+        assert!(GraphBuilder::try_new(4, usize::MAX).is_err());
         assert!(GraphBuilder::try_new(16, 2).is_ok());
     }
 
@@ -639,6 +661,31 @@ mod tests {
     }
 
     #[test]
+    fn from_rows_matches_the_builder() {
+        let mut b = GraphBuilder::new(4, 2);
+        b.extend_edges([
+            (0, 0, 1),
+            (0, 0, 3),
+            (0, 2, 0),
+            (1, 1, 1),
+            (1, 3, 0),
+            (1, 3, 2),
+        ]);
+        let built = b.build();
+        let rows = LabeledGraph::from_rows(4, 2, |l, x, out| {
+            out.extend_from_slice(built.successors(l, x));
+        });
+        assert_eq!(rows, built);
+        assert_eq!(rows.max_fanout(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must be sorted, duplicate-free and in range")]
+    fn from_rows_rejects_unsorted_rows() {
+        let _ = LabeledGraph::from_rows(3, 1, |_, _, out| out.extend([s(2), s(1)]));
+    }
+
+    #[test]
     fn has_edge_matches_the_successor_lists() {
         let mut b = GraphBuilder::new(4, 2);
         b.extend_edges([(0, 0, 1), (0, 0, 3), (1, 2, 0)]);
@@ -652,12 +699,11 @@ mod tests {
 
     #[test]
     fn max_fanout_tracks_the_densest_slot() {
-        let mut b = GraphBuilder::with_edge_capacity(6, 2, 8);
+        let mut b = GraphBuilder::new(6, 2);
         for to in 1..6 {
             b.add_edge(0, 0, to);
         }
         b.add_edge(1, 2, 3);
-        assert_eq!(b.num_recorded_edges(), 6);
         let g = b.build();
         assert_eq!(g.max_fanout(), 5);
     }

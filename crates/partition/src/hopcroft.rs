@@ -4,8 +4,8 @@
 
 use std::collections::VecDeque;
 
-use crate::graph::GraphBuilder;
-use crate::ids;
+use crate::graph::LabeledGraph;
+use crate::ids::{self, StateId};
 use crate::{Dfa, Partition};
 
 /// Computes the coarsest partition of a complete DFA's states that is
@@ -19,14 +19,11 @@ pub fn minimize(dfa: &Dfa) -> Partition {
         return Partition::from_assignment::<usize>(&[]);
     }
 
-    // Flat CSR predecessor lists per label.
-    let mut builder = GraphBuilder::with_edge_capacity(n, k, n * k);
-    for s in 0..n {
-        for l in 0..k {
-            builder.add_edge(l, s, dfa.step(s, l));
-        }
-    }
-    let graph = builder.build();
+    // Flat CSR predecessor lists per label.  Each successor row is the one
+    // DFA step, so the rows lay out in place with no sort.
+    let graph = LabeledGraph::from_rows(n, k, |l, s, out| {
+        out.push(StateId::from_index(dfa.step(s, l)));
+    });
 
     // Initial partition by output class — compact u32 block ids over packed
     // state ids, straight from the DFA's own compact class array.

@@ -71,17 +71,10 @@ impl Instance {
         GraphBuilder::try_new(num_elements, num_labels).map(|b| Instance::from_graph(b.build()))
     }
 
-    /// Wraps an already-populated [`GraphBuilder`], with every element
-    /// initially in block `0`.
-    #[must_use]
-    pub fn from_builder(builder: GraphBuilder) -> Self {
-        Instance::from_graph(builder.build())
-    }
-
     /// Adopts an already-built CSR graph without any edge-list round-trip —
-    /// the zero-copy entry point for producers (saturation, workload
-    /// generators) that stream their edges straight into a
-    /// [`GraphBuilder`] and build once.  Every element starts in block `0`.
+    /// the zero-copy entry point for producers that lay out their own graph
+    /// (the weak relation via [`LabeledGraph::from_rows`], or a
+    /// [`GraphBuilder`] built once).  Every element starts in block `0`.
     #[must_use]
     pub fn from_graph(graph: LabeledGraph) -> Self {
         Instance {
@@ -188,20 +181,19 @@ impl Instance {
             assert!(to < self.num_elements(), "target element out of range");
         }
         let graph = self.graph();
+        let mut added = additions.to_vec();
+        added.sort_unstable();
+        added.dedup();
         let mut removed: EdgeBatch = removals
             .iter()
             .copied()
-            .filter(|&(l, f, t)| graph.has_edge(l, f, t) && !additions.contains(&(l, f, t)))
+            .filter(|&(l, f, t)| {
+                graph.has_edge(l, f, t) && added.binary_search(&(l, f, t)).is_err()
+            })
             .collect();
         removed.sort_unstable();
         removed.dedup();
-        let mut added: EdgeBatch = additions
-            .iter()
-            .copied()
-            .filter(|&(l, f, t)| !graph.has_edge(l, f, t))
-            .collect();
-        added.sort_unstable();
-        added.dedup();
+        added.retain(|&(l, f, t)| !graph.has_edge(l, f, t));
         if !added.is_empty() || !removed.is_empty() {
             self.base = graph.edited_with(&added, &removed);
             self.pending = Vec::new();
@@ -574,7 +566,7 @@ mod tests {
         let mut b = crate::GraphBuilder::new(3, 1);
         b.add_edge(0, 0, 1);
         b.add_edge(0, 1, 2);
-        let inst = Instance::from_builder(b);
+        let inst = Instance::from_graph(b.build());
         assert_eq!(inst.num_elements(), 3);
         assert_eq!(inst.num_edges(), 2);
         assert_eq!(inst.initial_blocks(), &[0, 0, 0]);

@@ -9,9 +9,17 @@
 //! Objects preserve a canonical order (`BTreeMap`), so serializing a value
 //! always produces the same bytes — the concurrency tests rely on
 //! byte-identical responses across threads.
+//!
+//! The parser recurses once per array or object level, so [`parse`] refuses
+//! input nested deeper than [`MAX_DEPTH`] instead of overflowing the stack
+//! of the connection thread that reads it.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts.  Protocol requests nest
+/// three levels deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value (integers only — see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -154,27 +162,24 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 ///
 /// Returns a human-readable description of the first syntax problem.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing characters at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -193,7 +198,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -201,14 +206,20 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses the value at the cursor, which sits inside `depth` arrays and
+    /// objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected character {:?} at byte {}",
@@ -232,8 +243,7 @@ impl Parser<'_> {
                 self.pos
             ));
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits and minus are ASCII");
+        let text = &self.text[start..self.pos];
         text.parse()
             .map(Json::Num)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))
@@ -243,6 +253,14 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control byte in one piece.  Those stop bytes are
+            // ASCII, so the run ends on a character boundary.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_owned()),
                 Some(b'"') => {
@@ -290,15 +308,7 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    return Err(format!("raw control character at byte {}", self.pos));
                 }
             }
         }
@@ -306,18 +316,20 @@ impl Parser<'_> {
 
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err("truncated \\u escape".to_owned());
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "invalid \\u escape".to_owned())?;
+        let text = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| "invalid \\u escape".to_owned())?;
         let unit =
             u32::from_str_radix(text, 16).map_err(|_| format!("invalid \\u escape {text:?}"))?;
         self.pos = end;
         Ok(unit)
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -327,7 +339,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -340,7 +352,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -354,7 +366,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             map.insert(key, value);
             self.skip_ws();
             match self.peek() {
@@ -397,6 +409,28 @@ mod tests {
         assert_eq!(parsed, original);
         // Explicit surrogate-pair escape decodes to the astral character.
         assert_eq!(parse("\"\\uD83E\\uDD80\"").unwrap(), Json::str("\u{1F980}"));
+        // Long multi-byte and escape-heavy strings round-trip too.
+        for long in [
+            "ünicode \u{1F980} ∀x. ".repeat(20_000),
+            "\"q\"\\\n\t\u{1}".repeat(20_000),
+        ] {
+            let original = Json::str(long);
+            assert_eq!(parse(&original.to_string()).unwrap(), original);
+        }
+    }
+
+    /// Input nested past `MAX_DEPTH` is refused with an error, not a stack
+    /// overflow, while `MAX_DEPTH` levels still parse.
+    #[test]
+    fn deep_nesting_is_rejected_not_fatal() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for bad in [arrays(100_000), objects(100_000), arrays(MAX_DEPTH + 1)] {
+            let err = parse(&bad).expect_err("too deep to accept");
+            assert!(err.contains("nesting deeper"), "{err}");
+        }
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
     }
 
     #[test]

@@ -503,6 +503,41 @@ mod tests {
         assert_eq!(value.get("ok"), Some(&Json::Bool(true)), "{response}");
     }
 
+    /// Lines nested 100 000 deep, in JSON or in a CCS expression, get their
+    /// stable error codes on a connection-sized (2 MiB) stack instead of
+    /// aborting the process, and the service answers afterwards.
+    #[test]
+    fn deep_request_lines_get_stable_codes_on_a_connection_sized_stack() {
+        const DEEP: usize = 100_000;
+        let open = |text: String| format!(r#"{{"op":"open","format":"ccs","text":"{text}"}}"#);
+        let cases = [
+            (
+                format!("{}{}", "[".repeat(DEEP), "]".repeat(DEEP)),
+                "bad-request",
+            ),
+            (
+                open(format!("{}0{}", "(".repeat(DEEP), ")".repeat(DEEP))),
+                "expression",
+            ),
+            (open(vec!["a"; DEEP].join("+")), "expression"),
+            (open(vec!["a"; DEEP].join(".")), "expression"),
+        ];
+        let service = Service::default();
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    for (line, code) in &cases {
+                        let value = json::parse(&service.handle_line(line)).unwrap();
+                        assert_eq!(value.get("code").and_then(Json::as_str), Some(*code));
+                    }
+                    let pong = json::parse(&service.handle_line(r#"{"op":"ping"}"#)).unwrap();
+                    assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+                })
+                .join()
+                .expect("the request thread survives");
+        });
+    }
+
     #[test]
     fn ccs_expressions_open_via_the_representative_construction() {
         let service = Service::default();
