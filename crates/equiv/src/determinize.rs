@@ -52,7 +52,7 @@
 use std::collections::HashMap;
 
 use ccs_fsp::{ActionId, Fsp, StateId};
-use ccs_partition::{solve, Algorithm, Dfa, Partition};
+use ccs_partition::{solve, Algorithm, Dfa, Partition, UnionFind};
 
 use crate::check::Equivalence;
 use crate::compact::{narrow, subset_fingerprint};
@@ -536,7 +536,7 @@ pub(crate) fn classify_starts(
 }
 
 /// The per-notion memo of the [`onthefly`](crate::onthefly) pair search:
-/// a persistent union-find congruence of proven-equivalent subset pairs.
+/// a persistent [`UnionFind`] congruence of proven-equivalent subset pairs.
 ///
 /// A search clones it, prunes against the copy, and commits the copy back
 /// only when no distinguishing pair turns up; a refuted search leaves the
@@ -545,59 +545,34 @@ pub(crate) fn classify_starts(
 /// automata.
 #[derive(Clone, Debug, Default)]
 pub struct PairCache {
-    /// Parent array of the proven-equivalent congruence (grows with the
-    /// arena; a root points to itself).
-    proven: Vec<u32>,
-}
-
-fn find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        parent[x as usize] = parent[parent[x as usize] as usize]; // path halving
-        x = parent[x as usize];
-    }
-    x
-}
-
-/// Unions two ids; returns `false` if they were already merged.
-pub(crate) fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
-    let (ra, rb) = (find(parent, a), find(parent, b));
-    if ra == rb {
-        return false;
-    }
-    parent[ra.max(rb) as usize] = ra.min(rb);
-    true
-}
-
-/// Grows a parent array with singleton roots to cover `n` ids.
-pub(crate) fn grow(parent: &mut Vec<u32>, n: usize) {
-    while parent.len() < n {
-        parent.push(narrow(parent.len()));
-    }
+    /// The proven-equivalent congruence over arena subset ids (grows with
+    /// the arena).
+    proven: UnionFind,
 }
 
 impl PairCache {
-    /// Heap bytes held by the congruence array, measured from its live
-    /// capacity.
+    /// Heap bytes held by the congruence's parent and rank arrays, measured
+    /// from their live capacities.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.proven.capacity() * std::mem::size_of::<u32>()
+        self.proven.resident_bytes()
     }
 
     /// Whether the pair is already in the committed proven congruence — the
     /// `O(α)` early exit of the pair search.
     pub fn is_proven(&mut self, a: SubsetId, b: SubsetId) -> bool {
-        grow(&mut self.proven, a.max(b) as usize + 1);
-        find(&mut self.proven, a) == find(&mut self.proven, b)
+        self.proven.grow(a.max(b) as usize + 1);
+        self.proven.same(a as usize, b as usize)
     }
 
     /// A speculative copy of the proven congruence, grown to `n` ids.
-    pub(crate) fn speculative(&mut self, n: usize) -> Vec<u32> {
-        grow(&mut self.proven, n);
+    pub(crate) fn speculative(&mut self, n: usize) -> UnionFind {
+        self.proven.grow(n);
         self.proven.clone()
     }
 
     /// Commits a speculative congruence produced by a successful search.
-    pub(crate) fn commit(&mut self, uf: Vec<u32>) {
+    pub(crate) fn commit(&mut self, uf: UnionFind) {
         debug_assert!(uf.len() >= self.proven.len());
         self.proven = uf;
     }

@@ -41,6 +41,7 @@ use ccs_partition::Partition;
 
 use crate::determinize::{self, SubsetAutomaton};
 use crate::language::{closure_of_view, subset_step_view, Subset};
+use crate::relation::representative_scan;
 use crate::saturate::{weak_instance, SaturatedView};
 use crate::session::EquivSession;
 use crate::strong::extension_assignment;
@@ -126,28 +127,10 @@ pub fn kobs_equivalent(left: &Fsp, right: &Fsp, k: usize) -> bool {
 /// as the oracle; the [`session`](crate::session) layer iterates
 /// [`arena_level`] instead.
 pub(crate) fn refine_level(view: SaturatedView<'_>, prev: &Partition) -> Partition {
-    let n = view.num_states();
-    let mut assignment = vec![usize::MAX; n];
-    let mut representatives: Vec<StateId> = Vec::new();
     let mut scratch = ClassScratch::new(prev.num_blocks());
-    for s in (0..n).map(StateId::from_index) {
-        let mut found = None;
-        for (class, &rep) in representatives.iter().enumerate() {
-            if pair_equivalent(view, prev, &mut scratch, s, rep) {
-                found = Some(class);
-                break;
-            }
-        }
-        let class = match found {
-            Some(c) => c,
-            None => {
-                representatives.push(s);
-                representatives.len() - 1
-            }
-        };
-        assignment[s.index()] = class;
-    }
-    Partition::from_assignment(&assignment)
+    representative_scan(view.num_states(), |s, rep| {
+        pair_equivalent(view, prev, &mut scratch, s, rep)
+    })
 }
 
 /// Epoch-stamped scratch for class-set comparisons: decides whether two

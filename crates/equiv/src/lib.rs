@@ -8,7 +8,7 @@
 //! |---|---|---|---|
 //! | strong equivalence `~` | [`strong`] | polynomial, `O(m log n)` (Thm 3.1) | Lemma 3.1 reduction to generalized partitioning |
 //! | observational equivalence `≈` | [`weak`] | polynomial (Thm 4.1a) | τ-saturation + strong equivalence |
-//! | limited observational `≃ₖ`, `≃` | [`limited`] | `≃` = `≈` (Prop 2.2.1) | bounded partition refinement on the saturated process |
+//! | limited observational `≃ₖ`, `≃` | [`limited`] | `≃` = `≈` (Prop 2.2.1) | naive signature rounds (Lemma 3.2) on the weak instance, columns Σ plus ε |
 //! | k-observational `≈ₖ` | [`kobs`] | PSPACE-complete for fixed k ≥ 1 (Thm 4.1b) | exact: one shared subset arena + per-level class-set signature refinement (per-pair synchronized BFS kept as oracle) |
 //! | language (NFA) equivalence `≈₁` | [`language`] | PSPACE-complete | shared memoized determinization ([`determinize`]) + one DFA refinement |
 //! | trace equivalence | [`traces`] | (special case of `≈₁`) | same shared subset arena, non-emptiness classes |

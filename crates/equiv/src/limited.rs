@@ -7,19 +7,20 @@
 //! Proposition 2.2.1(c) shows that the limits agree: `p ≃ q iff p ≈ q`; the
 //! pigeonhole argument guarantees convergence after at most `n` rounds.
 //!
-//! This module exposes the whole refinement *sequence*, which is also how the
-//! k-observational hierarchy `≈ₖ` of [`kobs`](crate::kobs) is seeded, and how
-//! distinguishing formulas ([`witness`](crate::witness)) pick their recursion
-//! depth.
-
-use std::collections::HashMap;
+//! This module exposes the whole refinement *sequence*: the naive signature
+//! rounds of Lemma 3.2 ([`naive::rounds`]) over the weak instance of
+//! [`saturate`](crate::saturate), whose level 0 groups states by extension
+//! set.  The k-observational hierarchy `≈ₖ` of [`kobs`](crate::kobs) starts
+//! from the same level 0 but is a different sequence (it compares class sets
+//! over whole strings), and distinguishing formulas
+//! ([`witness`](crate::witness)) take their recursion depth from the same
+//! naive rounds over the *strong* instance.
 
 use ccs_fsp::saturate::tau_closure;
-use ccs_fsp::{ops, ActionId, Fsp, StateId};
-use ccs_partition::Partition;
+use ccs_fsp::{ops, Fsp, StateId};
+use ccs_partition::{naive, Partition};
 
-use crate::saturate::{weak_instance, SaturatedView};
-use crate::strong::extension_assignment;
+use crate::saturate::weak_instance;
 
 /// The refinement sequence `≃₀, ≃₁, …` of a process, computed until it
 /// converges (the last element is `≃` = `≈`).
@@ -82,65 +83,16 @@ pub fn limited_hierarchy(fsp: &Fsp) -> LimitedHierarchy {
 }
 
 /// Computes the `≃ₖ` sequence, stopping after `max_rounds` refinement rounds
-/// or at convergence, whichever comes first.
+/// or at convergence, whichever comes first: the naive signature rounds
+/// ([`naive::rounds`]) over the process's weak instance, whose initial
+/// blocks are the extension sets and whose columns are every observable
+/// action plus ε.
 #[must_use]
 pub fn limited_hierarchy_up_to(fsp: &Fsp, max_rounds: usize) -> LimitedHierarchy {
     let inst = weak_instance(fsp, &tau_closure(fsp));
-    let view = SaturatedView::of(&inst);
-    hierarchy_from_view(fsp, view, max_rounds)
-}
-
-/// The refinement loop behind [`limited_hierarchy_up_to`], reading the weak
-/// transition relation from a prebuilt [`SaturatedView`] — also the entry
-/// point the [`session`](crate::session) layer uses, so one view serves all
-/// levels.
-pub(crate) fn hierarchy_from_view(
-    fsp: &Fsp,
-    view: SaturatedView<'_>,
-    max_rounds: usize,
-) -> LimitedHierarchy {
-    let n = fsp.num_states();
-    // Level 0: equal extension sets.
-    let mut levels = vec![Partition::from_assignment(&extension_assignment(fsp))];
-
-    for _ in 0..max_rounds {
-        let prev = levels.last().expect("at least level 0");
-        // Signature: (previous block, for each weak column — every
-        // observable action plus ε — the set of previous blocks reachable by
-        // one weak move).
-        let mut sig_to_block: HashMap<(usize, Vec<Vec<usize>>), usize> = HashMap::new();
-        let mut next: Vec<usize> = vec![0; n];
-        for s in fsp.state_ids() {
-            let mut per_label: Vec<Vec<usize>> = Vec::with_capacity(view.num_actions() + 1);
-            for a in (0..view.num_actions()).map(ActionId::from_index) {
-                let mut hit: Vec<usize> = view
-                    .successors(s, a)
-                    .iter()
-                    .map(|t| prev.block_of(t.index()))
-                    .collect();
-                hit.sort_unstable();
-                hit.dedup();
-                per_label.push(hit);
-            }
-            let mut eps_hit: Vec<usize> = view
-                .epsilon_successors(s)
-                .iter()
-                .map(|t| prev.block_of(t.index()))
-                .collect();
-            eps_hit.sort_unstable();
-            eps_hit.dedup();
-            per_label.push(eps_hit);
-            let key = (prev.block_of(s.index()), per_label);
-            let fresh = sig_to_block.len();
-            next[s.index()] = *sig_to_block.entry(key).or_insert(fresh);
-        }
-        let candidate = Partition::from_assignment(&next);
-        if &candidate == prev {
-            break;
-        }
-        levels.push(candidate);
+    LimitedHierarchy {
+        levels: naive::rounds(&inst, max_rounds),
     }
-    LimitedHierarchy { levels }
 }
 
 /// Tests `p ≃ₖ q` for two states of the same process.

@@ -64,7 +64,7 @@
 
 use ccs_fsp::{ops, ActionId, Fsp};
 
-use crate::determinize::{grow, union, DetNotion, PairCache, SubsetAutomaton, SubsetId};
+use crate::determinize::{DetNotion, PairCache, SubsetAutomaton, SubsetId};
 use crate::failures::{distinguishing_refusal, maximal_refusals, name_set};
 use crate::saturate::SaturatedView;
 use crate::{EquivError, EquivSession, Equivalence};
@@ -153,7 +153,7 @@ pub(crate) fn search(
     // The root pair is merged up front (as every pushed pair is) so a
     // successful commit memoizes the queried pair itself.
     let mut uf = cache.speculative(auto.num_subsets());
-    union(&mut uf, left, right);
+    uf.union(left as usize, right as usize);
     let mut pairs: Vec<(SubsetId, SubsetId)> = vec![(left, right)];
     let mut provenance: Vec<Option<(usize, ActionId)>> = vec![None];
     let mut head = 0;
@@ -176,8 +176,8 @@ pub(crate) fn search(
             let action = ActionId::from_index(a);
             let nx = auto.step(view, x, action);
             let ny = auto.step(view, y, action);
-            grow(&mut uf, auto.num_subsets());
-            if union(&mut uf, nx, ny) {
+            uf.grow(auto.num_subsets());
+            if uf.union(nx as usize, ny as usize) {
                 pairs.push((nx, ny));
                 provenance.push(Some((head, action)));
             }

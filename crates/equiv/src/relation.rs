@@ -15,6 +15,31 @@ use ccs_fsp::saturate::{tau_closure, weak_action_successors};
 use ccs_fsp::{Fsp, StateId};
 use ccs_partition::Partition;
 
+/// Groups the states `0..n` into the classes of the equivalence `same` by
+/// comparing each state against one representative per class found so far
+/// — sound because `same` is transitive.  This is the shell of the per-pair
+/// oracles ([`kobs::kobs_partition`](crate::kobs::kobs_partition) and
+/// [`EquivSession::representative_scan_partition`](crate::EquivSession::representative_scan_partition)):
+/// `same(s, rep)` is called with the new state first.
+pub(crate) fn representative_scan(
+    n: usize,
+    mut same: impl FnMut(StateId, StateId) -> bool,
+) -> Partition {
+    let mut assignment = vec![0; n];
+    let mut representatives: Vec<StateId> = Vec::new();
+    for s in (0..n).map(StateId::from_index) {
+        let class = match representatives.iter().position(|&rep| same(s, rep)) {
+            Some(c) => c,
+            None => {
+                representatives.push(s);
+                representatives.len() - 1
+            }
+        };
+        assignment[s.index()] = class;
+    }
+    Partition::from_assignment(&assignment)
+}
+
 /// Returns `true` iff `pairs` (closed symmetrically and reflexively over the
 /// mentioned states) is a strong bisimulation: related states have equal
 /// extension sets and match each other's single transitions (τ included)

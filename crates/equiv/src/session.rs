@@ -95,15 +95,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ccs_fsp::saturate::{tau_closure, weak_action_successors, TauClosure};
 use ccs_fsp::{Fsp, Label, StateId};
-use ccs_partition::{incremental, solve, Algorithm, Instance, Partition};
+use ccs_partition::{incremental, naive, solve, Algorithm, Instance, Partition};
 
 use crate::check::Equivalence;
 use crate::determinize::{self, DetNotion, PairCache, SubsetAutomaton};
-use crate::limited;
 use crate::onthefly::{self, OtfOutcome};
 use crate::saturate::{self, SaturatedView};
 use crate::EquivError;
-use crate::{failures, kobs, language, strong, traces};
+use crate::{failures, kobs, language, relation, strong, traces};
 
 /// One single-flight slot of the partition memo: racing queries for the
 /// same key block on the shared inner `OnceLock` and split one result.
@@ -327,9 +326,11 @@ impl EquivSession {
             Equivalence::Strong => solve(self.strong_instance(), Algorithm::PaigeTarjan),
             Equivalence::Observational => solve(self.weak_instance(), Algorithm::PaigeTarjan),
             Equivalence::Limited(k) => {
-                limited::hierarchy_from_view(&self.fsp, self.saturated_view(), k)
-                    .level(k)
-                    .clone()
+                // `≃ₖ` is level `k` of the naive rounds over the weak
+                // instance (initial blocks by extension set, columns Σ
+                // plus ε); fewer levels mean the rounds converged earlier.
+                let mut levels = naive::rounds(self.weak_instance(), k);
+                levels.pop().expect("level 0 is always present")
             }
             Equivalence::KObservational(k) => {
                 if k == 0 {
@@ -396,27 +397,9 @@ impl EquivSession {
             DetNotion::of(notion).is_some(),
             "representative scan only covers the pairwise PSPACE notions"
         );
-        let n = self.fsp.num_states();
-        let mut assignment = vec![usize::MAX; n];
-        let mut representatives: Vec<StateId> = Vec::new();
-        for s in (0..n).map(StateId::from_index) {
-            let mut found = None;
-            for (class, &rep) in representatives.iter().enumerate() {
-                if self.oracle_pairwise_equivalent(notion, s, rep) {
-                    found = Some(class);
-                    break;
-                }
-            }
-            let class = match found {
-                Some(c) => c,
-                None => {
-                    representatives.push(s);
-                    representatives.len() - 1
-                }
-            };
-            assignment[s.index()] = class;
-        }
-        Partition::from_assignment(&assignment)
+        relation::representative_scan(self.fsp.num_states(), |s, rep| {
+            self.oracle_pairwise_equivalent(notion, s, rep)
+        })
     }
 
     /// One pair query with the original subset-construction checkers,

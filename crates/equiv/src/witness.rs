@@ -11,7 +11,9 @@
 use std::fmt;
 
 use ccs_fsp::{Fsp, Label, StateId};
-use ccs_partition::Partition;
+use ccs_partition::{naive, Partition};
+
+use crate::strong;
 
 /// A Hennessy–Milner logic formula over a process's labels and extension
 /// sets.
@@ -84,62 +86,13 @@ pub fn satisfies(fsp: &Fsp, state: StateId, formula: &Hml) -> bool {
     }
 }
 
-/// The sequence of strong-refinement rounds: round 0 groups by extension set,
-/// round `r+1` refines by single-transition signatures with respect to round
-/// `r`.  The last element is the strong-bisimulation partition.
-fn strong_rounds(fsp: &Fsp) -> Vec<Partition> {
-    use std::collections::HashMap;
-    let n = fsp.num_states();
-    let mut ext_blocks: HashMap<Vec<usize>, usize> = HashMap::new();
-    let assignment: Vec<usize> = fsp
-        .state_ids()
-        .map(|s| {
-            let key: Vec<usize> = fsp.extensions(s).iter().map(|v| v.index()).collect();
-            let fresh = ext_blocks.len();
-            *ext_blocks.entry(key).or_insert(fresh)
-        })
-        .collect();
-    let mut rounds = vec![Partition::from_assignment(&assignment)];
-    loop {
-        let prev = rounds.last().expect("at least round 0");
-        type Signature = (usize, Vec<(Label, Vec<usize>)>);
-        let mut sig_to_block: HashMap<Signature, usize> = HashMap::new();
-        let mut next = vec![0usize; n];
-        for s in fsp.state_ids() {
-            let mut per_label: HashMap<Label, Vec<usize>> = HashMap::new();
-            for t in fsp.transitions(s) {
-                per_label
-                    .entry(t.label)
-                    .or_default()
-                    .push(prev.block_of(t.target.index()));
-            }
-            let mut sig: Vec<(Label, Vec<usize>)> = per_label
-                .into_iter()
-                .map(|(l, mut blocks)| {
-                    blocks.sort_unstable();
-                    blocks.dedup();
-                    (l, blocks)
-                })
-                .collect();
-            sig.sort();
-            let key = (prev.block_of(s.index()), sig);
-            let fresh = sig_to_block.len();
-            next[s.index()] = *sig_to_block.entry(key).or_insert(fresh);
-        }
-        let candidate = Partition::from_assignment(&next);
-        if &candidate == prev {
-            break;
-        }
-        rounds.push(candidate);
-    }
-    rounds
-}
-
 /// Constructs a formula satisfied by `p` but not by `q`, or `None` if the two
 /// states are strongly equivalent.
 #[must_use]
 pub fn distinguishing_formula(fsp: &Fsp, p: StateId, q: StateId) -> Option<Hml> {
-    let rounds = strong_rounds(fsp);
+    // Round 0 groups by extension set, round `r+1` refines round `r` by
+    // single-transition signatures, and the last round is `~`.
+    let rounds = naive::rounds(&strong::to_instance(fsp), usize::MAX);
     if rounds
         .last()
         .expect("at least round 0")

@@ -71,6 +71,7 @@
 use std::collections::HashMap;
 
 use crate::ids::{self, StateId};
+use crate::kanellakis_smolka::both_halves_fixpoint;
 use crate::{solve, Algorithm, Instance, LabeledGraph, Partition};
 
 /// The touched-state-fraction rebuild threshold: a batch whose effective
@@ -292,7 +293,6 @@ fn signatures_preserved(graph: &LabeledGraph, previous: &Partition, books: &Undo
 /// Returns the fixpoint assignment.
 fn seeded_refinement(instance: &Instance, previous: &Partition, books: &UndoBooks) -> Vec<u32> {
     let graph = instance.graph();
-    let n = instance.num_elements();
     let prev_assignment: Vec<usize> = previous.assignment().collect();
     let (mut block_of, mut blocks) = Partition::from_raw_assignment(&prev_assignment);
 
@@ -332,7 +332,6 @@ fn seeded_refinement(instance: &Instance, previous: &Partition, books: &UndoBook
         }
     }
 
-    let mut worklist: Vec<u32> = Vec::new();
     let mut enqueued: Vec<u32> = Vec::new();
     for (d, groups) in moved {
         let in_group: Vec<usize> = groups.iter().flat_map(|(_, m)| m.iter().copied()).collect();
@@ -358,64 +357,7 @@ fn seeded_refinement(instance: &Instance, previous: &Partition, books: &UndoBook
         }
         blocks[d as usize] = remainder;
     }
-    let mut on_worklist = vec![false; blocks.len()];
-    for id in enqueued {
-        if !on_worklist[id as usize] {
-            on_worklist[id as usize] = true;
-            worklist.push(id);
-        }
-    }
-
-    // From here the loop is `refine_both_halves` verbatim: the simple
-    // always-sound re-enqueue rule, which tolerates the partial seed.
-    let mut marked: Vec<u64> = vec![0; n];
-    let mut touched_stamp: Vec<u64> = vec![0; blocks.len()];
-    let mut epoch: u64 = 0;
-
-    while let Some(splitter) = worklist.pop() {
-        on_worklist[splitter as usize] = false;
-        let splitter_elems = blocks[splitter as usize].clone();
-        for label in 0..instance.num_labels() {
-            epoch += 1;
-            let mut touched_blocks: Vec<u32> = Vec::new();
-            for &y in &splitter_elems {
-                for &x in graph.predecessors(label, y.index()) {
-                    if marked[x.index()] != epoch {
-                        marked[x.index()] = epoch;
-                        let d = block_of[x.index()];
-                        if touched_stamp[d as usize] != epoch {
-                            touched_stamp[d as usize] = epoch;
-                            touched_blocks.push(d);
-                        }
-                    }
-                }
-            }
-            for &d in &touched_blocks {
-                let (inside, outside): (Vec<StateId>, Vec<StateId>) = blocks[d as usize]
-                    .iter()
-                    .partition(|&&x| marked[x.index()] == epoch);
-                if inside.is_empty() || outside.is_empty() {
-                    continue;
-                }
-                let new_id = ids::narrow(blocks.len());
-                for &x in &outside {
-                    block_of[x.index()] = new_id;
-                }
-                blocks[d as usize] = inside;
-                blocks.push(outside);
-                on_worklist.push(false);
-                touched_stamp.push(0);
-                for id in [d, new_id] {
-                    if !on_worklist[id as usize] {
-                        on_worklist[id as usize] = true;
-                        worklist.push(id);
-                    }
-                }
-            }
-        }
-    }
-
-    block_of
+    both_halves_fixpoint(graph, block_of, blocks, enqueued)
 }
 
 /// The class-redundancy certificate: true iff every effective addition was

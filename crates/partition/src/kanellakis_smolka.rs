@@ -48,14 +48,15 @@ use crate::graph::LabeledGraph;
 use crate::ids::{self, StateId};
 use crate::{Instance, Partition};
 
-/// The initial fine partition of [`refine`]: the instance's initial
-/// partition refined by the per-label "has at least one successor"
+/// The initial fine partition of [`refine`] and of
+/// [`paige_tarjan::refine`](crate::paige_tarjan::refine): the instance's
+/// initial partition refined by the per-label "has at least one successor"
 /// signature, so the seed is stable with respect to the single initial
 /// splitter group (the whole set).
 ///
 /// Returns the live `(block_of, blocks)` state the worklist loop then
 /// refines, in the compact 32-bit layout the loops keep hot.
-fn initial_fine_partition(
+pub(crate) fn initial_fine_partition(
     instance: &Instance,
     graph: &LabeledGraph,
 ) -> (Vec<u32>, Vec<Vec<StateId>>) {
@@ -231,23 +232,40 @@ pub fn refine(instance: &Instance) -> Partition {
 /// head.
 #[must_use]
 pub fn refine_both_halves(instance: &Instance) -> Partition {
-    let n = instance.num_elements();
-    if n == 0 {
-        return Partition::from_assignment::<usize>(&[]);
-    }
-    let graph = instance.graph();
+    let (block_of, blocks) = Partition::from_raw_assignment(instance.initial_blocks());
+    let every_block = 0..ids::narrow(blocks.len());
+    let block_of = both_halves_fixpoint(instance.graph(), block_of, blocks, every_block);
+    Partition::from_assignment(&block_of)
+}
 
-    // Live partition state, seeded from the raw initial assignment —
-    // compact ids throughout, as in `refine`.
-    let (mut block_of, mut blocks) = Partition::from_raw_assignment(instance.initial_blocks());
-
+/// The both-halves splitter loop: pops a splitter block, splits every block
+/// its per-label preimage cuts, and re-enqueues both halves of each split,
+/// until the worklist is empty.  Returns the final `block_of`.
+///
+/// The result is the coarsest stable refinement of the given partition as
+/// long as the partition is already stable with respect to every block
+/// missing from `seed` — [`refine_both_halves`] seeds every block, and the
+/// [`incremental`](crate::incremental) repair seeds only the blocks a batch
+/// split.
+pub(crate) fn both_halves_fixpoint(
+    graph: &LabeledGraph,
+    mut block_of: Vec<u32>,
+    mut blocks: Vec<Vec<StateId>>,
+    seed: impl IntoIterator<Item = u32>,
+) -> Vec<u32> {
     // Worklist of splitter block ids (content is read at pop time).
-    let mut worklist: Vec<u32> = (0..ids::narrow(blocks.len())).collect();
-    let mut on_worklist = vec![true; blocks.len()];
+    let mut worklist: Vec<u32> = Vec::new();
+    let mut on_worklist = vec![false; blocks.len()];
+    for id in seed {
+        if !on_worklist[id as usize] {
+            on_worklist[id as usize] = true;
+            worklist.push(id);
+        }
+    }
 
     // Epoch-stamped scratch: preimage membership per element, touched marker
     // per block (one epoch per (splitter, label) round).
-    let mut marked: Vec<u64> = vec![0; n];
+    let mut marked: Vec<u64> = vec![0; block_of.len()];
     let mut touched_stamp: Vec<u64> = vec![0; blocks.len()];
     let mut epoch: u64 = 0;
 
@@ -257,7 +275,7 @@ pub fn refine_both_halves(instance: &Instance) -> Partition {
         // out of `blocks[splitter]`, but every moved element ends up in a
         // block that is itself (re-)enqueued, so using the snapshot is sound.
         let splitter_elems = blocks[splitter as usize].clone();
-        for label in 0..instance.num_labels() {
+        for label in 0..graph.num_labels() {
             epoch += 1;
             // pre_ℓ(splitter)
             let mut touched_blocks: Vec<u32> = Vec::new();
@@ -302,7 +320,7 @@ pub fn refine_both_halves(instance: &Instance) -> Partition {
         }
     }
 
-    Partition::from_assignment(&block_of)
+    block_of
 }
 
 #[cfg(test)]

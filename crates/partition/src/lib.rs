@@ -17,10 +17,14 @@
 //! All solvers share one transition representation: the compressed-sparse-row
 //! [`LabeledGraph`] (see [`graph`]), which stores every relation's successor
 //! and predecessor lists back to back in four contiguous arrays indexed by
-//! per-`(label, element)` offset tables.  An [`Instance`] wraps a
-//! [`GraphBuilder`] that sorts and deduplicates parallel edges and lays the
-//! CSR out once; `successors`/`predecessors` are slice views into the flat
-//! arrays, and `num_edges`/`max_fanout` are `O(1)` builder-computed values.
+//! per-`(label, element)` offset tables.  An [`Instance`] adopts a
+//! [`LabeledGraph`] (laid out by a [`GraphBuilder`], which sorts and
+//! deduplicates parallel edges, or row by row with
+//! [`LabeledGraph::from_rows`]); edges added afterwards stay pending until
+//! the next query merges them in with [`LabeledGraph::edited_with`], which
+//! is also how an edge batch is applied.  `successors`/`predecessors` are
+//! slice views into the flat arrays, and `num_edges`/`max_fanout` are
+//! `O(1)` layout-computed values.
 //! Element, label and block identities are packed 32-bit newtypes (see
 //! [`ids`]), which halves the hot working set on 64-bit targets; ground sets
 //! beyond the packed range are rejected at construction with an

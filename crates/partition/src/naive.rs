@@ -18,45 +18,74 @@ use crate::{Instance, Partition};
 /// stable partition.
 #[must_use]
 pub fn refine(instance: &Instance) -> Partition {
-    let n = instance.num_elements();
-    if n == 0 {
-        return Partition::from_assignment::<usize>(&[]);
-    }
-    let graph = instance.graph();
+    Partition::from_assignment(&run(instance, usize::MAX, |_| {}))
+}
+
+/// The refinement sequence of the naive method: level 0 is the instance's
+/// initial partition, and each further level is one signature round applied
+/// to its predecessor.  Stops after `max_rounds` rounds or at the first
+/// round that splits no block, whichever comes first, so the last level is
+/// [`refine`]'s answer whenever the rounds converge within `max_rounds`.
+///
+/// Every level refines its predecessor, and a chain of `n` elements needs
+/// all `n` levels — the tightness example of Lemma 3.2.
+#[must_use]
+pub fn rounds(instance: &Instance, max_rounds: usize) -> Vec<Partition> {
+    let mut levels = Vec::new();
+    run(instance, max_rounds, |block_of| {
+        levels.push(Partition::from_assignment(block_of));
+    });
+    levels
+}
+
+/// Runs signature rounds from the initial blocks until a round splits no
+/// block or `max_rounds` rounds have run.  `level` sees the initial
+/// assignment and the assignment after every splitting round; the last
+/// assignment is returned.
+fn run(instance: &Instance, max_rounds: usize, mut level: impl FnMut(&[u32])) -> Vec<u32> {
     let (mut block_of, initial_blocks) = Partition::from_raw_assignment(instance.initial_blocks());
     let mut num_blocks = initial_blocks.len();
-
-    loop {
-        // Signature of x: (current block, for each label the sorted set of
-        // successor blocks) — all compact 32-bit ids, so the signature keys
-        // are half the size they were with `usize` blocks.
-        let mut sig_to_new: HashMap<(u32, Vec<Vec<u32>>), u32> = HashMap::new();
-        let mut next: Vec<u32> = vec![0; n];
-        for x in 0..n {
-            let mut per_label = Vec::with_capacity(instance.num_labels());
-            for l in 0..instance.num_labels() {
-                let mut hit: Vec<u32> = graph
-                    .successors(l, x)
-                    .iter()
-                    .map(|&y| block_of[y.index()])
-                    .collect();
-                hit.sort_unstable();
-                hit.dedup();
-                per_label.push(hit);
-            }
-            let key = (block_of[x], per_label);
-            let fresh = ids::narrow(sig_to_new.len());
-            let id = *sig_to_new.entry(key).or_insert(fresh);
-            next[x] = id;
-        }
-        let new_count = sig_to_new.len();
-        block_of = next;
-        if new_count == num_blocks {
+    level(&block_of);
+    for _ in 0..max_rounds {
+        let (next, next_blocks) = round(instance, &block_of);
+        // A round only splits blocks, so an equal count means no change.
+        if next_blocks == num_blocks {
             break;
         }
-        num_blocks = new_count;
+        block_of = next;
+        num_blocks = next_blocks;
+        level(&block_of);
     }
-    Partition::from_assignment(&block_of)
+    block_of
+}
+
+/// One signature round: the next block of every element and the number of
+/// blocks.  Elements stay together iff they share their current block and,
+/// for every label, the set of current blocks their successors hit.
+fn round(instance: &Instance, block_of: &[u32]) -> (Vec<u32>, usize) {
+    let graph = instance.graph();
+    // Signature of x: (current block, for each label the sorted set of
+    // successor blocks) — all compact 32-bit ids.
+    let mut sig_to_new: HashMap<(u32, Vec<Vec<u32>>), u32> = HashMap::new();
+    let mut next: Vec<u32> = vec![0; block_of.len()];
+    for (x, slot) in next.iter_mut().enumerate() {
+        let mut per_label = Vec::with_capacity(instance.num_labels());
+        for l in 0..instance.num_labels() {
+            let mut hit: Vec<u32> = graph
+                .successors(l, x)
+                .iter()
+                .map(|&y| block_of[y.index()])
+                .collect();
+            hit.sort_unstable();
+            hit.dedup();
+            per_label.push(hit);
+        }
+        let key = (block_of[x], per_label);
+        let fresh = ids::narrow(sig_to_new.len());
+        *slot = *sig_to_new.entry(key).or_insert(fresh);
+    }
+    let count = sig_to_new.len();
+    (next, count)
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@
 use std::collections::HashMap;
 
 use crate::ids::{self, StateId};
+use crate::kanellakis_smolka::initial_fine_partition;
 use crate::{Instance, Partition};
 
 /// Runs the Paige–Tarjan algorithm and returns the coarsest consistent
@@ -37,31 +38,14 @@ pub fn refine(instance: &Instance) -> Partition {
     // Hoist the CSR view out of the hot loops.
     let graph = instance.graph();
 
-    // --- Initial fine partition Q: the initial partition refined by the
-    // per-label "has at least one outgoing edge" signature, so that Q is
-    // stable with respect to the single initial X-block (the whole set).
-    // All live state is 32-bit: elements are packed `StateId`s, Q-/X-block
-    // ids raw `u32`s, and the edge counters `u32` values keyed by 12-byte
-    // `(label, element, x_block)` triples — half the former key size, which
-    // matters because `counts` is the algorithm's largest structure.
-    let mut block_of: Vec<u32> = vec![0; n];
-    let mut q_blocks: Vec<Vec<StateId>> = Vec::new();
-    {
-        let mut sig_to_block: HashMap<(u32, Vec<bool>), u32> = HashMap::new();
-        for (x, block) in block_of.iter_mut().enumerate() {
-            let sig: Vec<bool> = (0..num_labels)
-                .map(|l| !graph.successors(l, x).is_empty())
-                .collect();
-            let key = (instance.initial_blocks()[x], sig);
-            let fresh = ids::narrow(sig_to_block.len());
-            let id = *sig_to_block.entry(key).or_insert(fresh);
-            if id as usize == q_blocks.len() {
-                q_blocks.push(Vec::new());
-            }
-            *block = id;
-            q_blocks[id as usize].push(StateId::from_index(x));
-        }
-    }
+    // --- Initial fine partition Q: the shared per-label "has a successor"
+    // seed, so that Q is stable with respect to the single initial X-block
+    // (the whole set).  All live state is 32-bit: elements are packed
+    // `StateId`s, Q-/X-block ids raw `u32`s, and the edge counters `u32`
+    // values keyed by 12-byte `(label, element, x_block)` triples — half the
+    // former key size, which matters because `counts` is the algorithm's
+    // largest structure.
+    let (mut block_of, mut q_blocks) = initial_fine_partition(instance, graph);
 
     // --- X partition: initially one block containing every Q-block.
     let mut x_of_q: Vec<u32> = vec![0; q_blocks.len()];

@@ -7,7 +7,7 @@ use crate::ids;
 /// Parent links are stored as `u32` — five bytes per element together with
 /// the rank byte — since element counts are bounded by the packed 32-bit id
 /// range everywhere this structure is used.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
@@ -28,6 +28,27 @@ impl UnionFind {
             rank: vec![0; n],
             num_sets: n,
         }
+    }
+
+    /// Appends singleton sets until the structure covers `0..n`; a no-op
+    /// when it already does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the 32-bit id range.
+    pub fn grow(&mut self, n: usize) {
+        while self.parent.len() < n {
+            self.parent.push(ids::narrow(self.parent.len()));
+            self.rank.push(0);
+            self.num_sets += 1;
+        }
+    }
+
+    /// Heap bytes held by the parent and rank arrays, measured from their
+    /// live capacities.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.parent.capacity() * std::mem::size_of::<u32>() + self.rank.capacity()
     }
 
     /// Number of elements.
@@ -119,6 +140,21 @@ mod tests {
         assert!(uf.union(1, 3));
         assert!(uf.same(0, 2));
         assert_eq!(uf.num_sets(), 2);
+    }
+
+    #[test]
+    fn grow_appends_singletons_and_keeps_merges() {
+        let mut uf = UnionFind::default();
+        assert!(uf.is_empty());
+        uf.grow(3);
+        assert!(uf.union(0, 2));
+        uf.grow(5);
+        uf.grow(4);
+        assert_eq!(uf.len(), 5);
+        assert_eq!(uf.num_sets(), 4);
+        assert!(uf.same(2, 0));
+        assert!(!uf.same(3, 4));
+        assert!(uf.resident_bytes() >= 5 * 5);
     }
 
     #[test]

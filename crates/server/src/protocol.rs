@@ -33,6 +33,17 @@ use crate::registry::{Registry, RegistryConfig};
 /// fly instead of forcing the whole determinized partition.
 const OTF_THRESHOLD: usize = 512;
 
+/// The `"ok": false` response line (without the trailing newline) that
+/// reports `error` by its stable code and message.
+pub(crate) fn error_line(error: &EquivError) -> String {
+    Json::obj([
+        ("ok", Json::Bool(false)),
+        ("code", Json::str(error.code())),
+        ("message", Json::str(error.to_string())),
+    ])
+    .to_string()
+}
+
 /// The shared, thread-safe request handler: a [`Registry`] of sessions plus
 /// the routing between the session memo and the on-the-fly engine.  One
 /// `Service` serves every connection of a server; it is also usable
@@ -82,17 +93,13 @@ impl Service {
     /// every failure becomes an `"ok": false` response.
     #[must_use]
     pub fn handle_line(&self, line: &str) -> String {
-        let response = self
+        match self
             .parse_request(line)
             .and_then(|request| self.dispatch(&request))
-            .unwrap_or_else(|error| {
-                Json::obj([
-                    ("ok", Json::Bool(false)),
-                    ("code", Json::str(error.code())),
-                    ("message", Json::str(error.to_string())),
-                ])
-            });
-        response.to_string()
+        {
+            Ok(response) => response.to_string(),
+            Err(error) => error_line(&error),
+        }
     }
 
     fn parse_request(&self, line: &str) -> Result<Json, EquivError> {
@@ -378,8 +385,28 @@ fn edge_list(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Four 100 000-deep request lines and the stable code each must get:
+    /// nested JSON arrays, then nested parentheses and long `+` and `.`
+    /// chains in a CCS expression.
+    pub(crate) fn deep_request_lines() -> [(String, &'static str); 4] {
+        const DEEP: usize = 100_000;
+        let open = |text: String| format!(r#"{{"op":"open","format":"ccs","text":"{text}"}}"#);
+        [
+            (
+                format!("{}{}", "[".repeat(DEEP), "]".repeat(DEEP)),
+                "bad-request",
+            ),
+            (
+                open(format!("{}0{}", "(".repeat(DEEP), ")".repeat(DEEP))),
+                "expression",
+            ),
+            (open(vec!["a"; DEEP].join("+")), "expression"),
+            (open(vec!["a"; DEEP].join(".")), "expression"),
+        ]
+    }
 
     fn open(service: &Service, text: &str) -> String {
         let escaped = Json::str(text).to_string();
@@ -508,20 +535,7 @@ mod tests {
     /// aborting the process, and the service answers afterwards.
     #[test]
     fn deep_request_lines_get_stable_codes_on_a_connection_sized_stack() {
-        const DEEP: usize = 100_000;
-        let open = |text: String| format!(r#"{{"op":"open","format":"ccs","text":"{text}"}}"#);
-        let cases = [
-            (
-                format!("{}{}", "[".repeat(DEEP), "]".repeat(DEEP)),
-                "bad-request",
-            ),
-            (
-                open(format!("{}0{}", "(".repeat(DEEP), ")".repeat(DEEP))),
-                "expression",
-            ),
-            (open(vec!["a"; DEEP].join("+")), "expression"),
-            (open(vec!["a"; DEEP].join(".")), "expression"),
-        ];
+        let cases = deep_request_lines();
         let service = Service::default();
         std::thread::scope(|scope| {
             scope

@@ -1,12 +1,14 @@
 //! The TCP front end: line-oriented JSON over `std::net`, one thread per
 //! connection, all connections sharing one [`Service`].
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-use crate::protocol::Service;
+use ccs_equiv::EquivError;
+
+use crate::protocol::{error_line, Service};
 
 /// A bound (but not yet serving) equivalence server.
 #[derive(Debug)]
@@ -105,32 +107,120 @@ impl Server {
     }
 }
 
+/// The longest request line the server reads, in bytes, not counting the
+/// line terminator.  A longer line gets one `bad-request` reply and the
+/// connection is closed, so no client can make a connection thread buffer
+/// more than this.
+pub const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
+
 fn serve_connection(service: &Service, stream: TcpStream) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
         }
-        let response = service.handle_line(&line);
+        let terminated = buf.last() == Some(&b'\n');
+        if terminated {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let over_limit = !terminated && buf.len() > MAX_LINE_BYTES;
+        let response = if over_limit {
+            error_line(&EquivError::bad_request(format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes"
+            )))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => service.handle_line(line),
+                Err(_) => error_line(&EquivError::bad_request("request line is not UTF-8")),
+            }
+        };
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
+        if over_limit {
+            // The rest of the line is never read: the connection ends here.
+            return Ok(());
+        }
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Json};
+
+    fn spawn() -> ServerHandle {
+        Server::bind("127.0.0.1:0", Service::default())
+            .unwrap()
+            .spawn()
+            .unwrap()
+    }
+
+    /// A raw connection: a line reader and a writer.
+    fn connect(handle: &ServerHandle) -> (BufReader<TcpStream>, TcpStream) {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), stream)
+    }
+
+    /// Reads one response line.
+    fn reply(reader: &mut BufReader<TcpStream>) -> Json {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "no reply");
+        json::parse(line.trim_end()).unwrap()
+    }
+
+    fn code(value: &Json) -> Option<&str> {
+        value.get("code").and_then(Json::as_str)
+    }
+
+    #[test]
+    fn over_long_lines_get_one_bad_request_and_the_server_keeps_serving() {
+        let handle = spawn();
+        let (mut reader, mut writer) = connect(&handle);
+        // Blank lines get no reply; a non-UTF-8 line is refused, and the
+        // connection stays usable.
+        writer.write_all(b"\n \r\n\xff\xfe\n").unwrap();
+        let refusal = reply(&mut reader);
+        assert_eq!(code(&refusal), Some("bad-request"));
+        assert!(refusal.to_string().contains("UTF-8"), "{refusal}");
+        // One byte over the limit, with no newline in sight.
+        writer.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        let refusal = reply(&mut reader);
+        assert_eq!(code(&refusal), Some("bad-request"));
+        let message = refusal.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{message}");
+        // Exactly one reply, then the server closes the connection.
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+        // A fresh connection is served as usual.
+        let mut client = crate::client::Client::connect(handle.addr()).unwrap();
+        assert!(client.ping().unwrap());
+    }
+
+    #[test]
+    fn deep_lines_get_stable_codes_on_a_connection_thread() {
+        let handle = spawn();
+        let (mut reader, mut writer) = connect(&handle);
+        for (line, expected) in crate::protocol::tests::deep_request_lines() {
+            writer.write_all(line.as_bytes()).unwrap();
+            writer.write_all(b"\n").unwrap();
+            assert_eq!(code(&reply(&mut reader)), Some(expected));
+        }
+        writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        assert_eq!(reply(&mut reader).get("pong"), Some(&Json::Bool(true)));
+    }
 
     #[test]
     fn serves_a_round_trip_over_tcp() {
-        let handle = Server::bind("127.0.0.1:0", Service::default())
-            .unwrap()
-            .spawn()
-            .unwrap();
+        let handle = spawn();
         let mut client = crate::client::Client::connect(handle.addr()).unwrap();
         assert!(client.ping().unwrap());
         let opened = client.open_fsp("trans p tau q\ntrans q a r").unwrap();
@@ -143,10 +233,7 @@ mod tests {
 
     #[test]
     fn blank_lines_are_ignored_and_connections_are_independent() {
-        let handle = Server::bind("127.0.0.1:0", Service::default())
-            .unwrap()
-            .spawn()
-            .unwrap();
+        let handle = spawn();
         let mut a = crate::client::Client::connect(handle.addr()).unwrap();
         let opened = a.open_fsp("trans p a q").unwrap();
         // A second connection sees the same registry.

@@ -3,10 +3,11 @@
 //! both-halves and smaller-half variants, Paige–Tarjan) produce identical
 //! partitions that pass the `is_consistent_stable` oracle, both on raw
 //! instances and through the Lemma 3.1 reduction from processes; on the
-//! deterministic special case Hopcroft agrees as well.
+//! deterministic special case Hopcroft agrees as well.  The naive method's
+//! round sequence (`naive::rounds`) is checked level by level.
 
 use ccs_equiv::strong;
-use ccs_partition::{hopcroft, solve, Algorithm, Dfa, Instance, Partition};
+use ccs_partition::{hopcroft, naive, solve, Algorithm, Dfa, Instance, Partition};
 use ccs_workloads::{instances, random, RandomConfig};
 use proptest::prelude::*;
 
@@ -70,6 +71,36 @@ proptest! {
         let via_hopcroft = hopcroft::minimize(&dfa);
         let reference = solvers_agree(&inst)?;
         prop_assert_eq!(via_hopcroft, reference);
+    }
+
+    #[test]
+    fn naive_rounds_refine_level_by_level_to_the_fixpoint(
+        n in 1usize..40,
+        labels in 1usize..4,
+        density in 0usize..5,
+        seed in 0u64..1_000,
+        cap in 0usize..4,
+    ) {
+        let inst = instances::random(n, labels, density * n, seed);
+        let levels = naive::rounds(&inst, usize::MAX);
+        prop_assert_eq!(&levels[0], &Partition::from_assignment(inst.initial_blocks()));
+        for pair in levels.windows(2) {
+            prop_assert!(pair[1].refines(&pair[0]));
+            prop_assert!(pair[1].num_blocks() > pair[0].num_blocks());
+        }
+        prop_assert_eq!(levels.last().unwrap(), &naive::refine(&inst));
+        // A round cap keeps a prefix of the same sequence.
+        let capped = naive::rounds(&inst, cap);
+        prop_assert_eq!(&capped[..], &levels[..levels.len().min(cap + 1)]);
+    }
+
+    #[test]
+    fn naive_rounds_take_n_levels_on_a_chain(n in 1usize..64) {
+        // Lemma 3.2's tightness example: each round splits off one more
+        // element of the chain, so all `n` levels are needed.
+        let levels = naive::rounds(&instances::chain(n), usize::MAX);
+        prop_assert_eq!(levels.len(), n);
+        prop_assert_eq!(levels[n - 1].num_blocks(), n);
     }
 
     #[test]
