@@ -298,8 +298,11 @@ mod tests {
         let a_only = format::parse("trans u a v\naccept u v").unwrap();
         let r = failure_equivalent(&aa, &a_only);
         assert!(!r.equivalent);
+        // After `a`, `aa`'s derivative can still move but `a_only`'s refuses
+        // {a}: the shortest witness is `(a, {a})`.
         let w = r.witness.unwrap();
-        assert!(w.trace == vec!["a".to_owned()] || w.trace == vec!["a".to_owned(), "a".to_owned()]);
+        assert_eq!(w.trace, vec!["a".to_owned()]);
+        assert_eq!(w.refusal, vec!["a".to_owned()]);
     }
 
     #[test]
@@ -311,7 +314,9 @@ mod tests {
         assert!(crate::traces::trace_equivalent(&internal, &external).holds);
         let r = failure_equivalent(&internal, &external);
         assert!(!r.equivalent);
-        assert_eq!(r.witness.unwrap().trace, Vec::<String>::new());
+        let w = r.witness.unwrap();
+        assert_eq!(w.trace, Vec::<String>::new());
+        assert_eq!(w.refusal, vec!["a".to_owned()]);
     }
 
     #[test]
@@ -336,6 +341,45 @@ mod tests {
             .collect();
         assert_eq!(after_a.len(), 1);
         assert_eq!(after_a[0].1.len(), 2);
+    }
+
+    /// The three bounded enumerations on one τ-bearing process, pinned
+    /// exactly (order included for `failures_up_to`, which is unsorted).
+    #[test]
+    fn bounded_enumerations_on_a_tau_process() {
+        let f = format::parse(
+            "trans p a q\ntrans p tau r\ntrans r b s\ntrans s tau p\ntrans q a q\naccept q s",
+        )
+        .unwrap();
+        let p = f.start();
+        let words = |ws: &[&[&str]]| -> Vec<Vec<String>> {
+            ws.iter()
+                .map(|w| w.iter().map(|&a| a.to_owned()).collect())
+                .collect()
+        };
+        assert_eq!(
+            crate::language::language_up_to(&f, p, 2),
+            words(&[&["a"], &["a", "a"], &["b"], &["b", "a"], &["b", "b"]])
+        );
+        assert_eq!(
+            crate::traces::traces_up_to(&f, p, 2),
+            words(&[&[], &["a"], &["a", "a"], &["b"], &["b", "a"], &["b", "b"]])
+        );
+        // Failures come level by level in exploration order, each trace
+        // with its ⊆-maximal refusals: `p`'s τ-move to `r` refuses {a}.
+        let pin =
+            |trace: &[&str], refusal: &[&str]| (words(&[trace])[0].clone(), words(&[refusal]));
+        assert_eq!(
+            failures_up_to(&f, p, 2),
+            vec![
+                pin(&[], &["a"]),
+                pin(&["a"], &["b"]),
+                pin(&["b"], &["a"]),
+                pin(&["a", "a"], &["b"]),
+                pin(&["b", "a"], &["b"]),
+                pin(&["b", "b"], &["a"]),
+            ]
+        );
     }
 
     #[test]
