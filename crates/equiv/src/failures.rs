@@ -13,14 +13,19 @@
 //! but the special cases the paper singles out (finite trees, deterministic
 //! processes, unary alphabets) stay polynomial because their determinizations
 //! are small.
-
-use std::collections::{HashSet, VecDeque};
+//!
+//! The exploration is the oracles' shared synchronized pair search in
+//! [`language`](crate::language), stepping over the [`SaturatedView`]; this
+//! module supplies only the observation: a trace present on one side only
+//! is reported with refusal `∅`, and differing antichains with a refusal
+//! one side has and the other lacks.  [`failures_up_to`] lists the
+//! antichain at every subset of the shared bounded word walk.
 
 use ccs_fsp::saturate::tau_closure;
-use ccs_fsp::{ops, Fsp, StateId};
+use ccs_fsp::{ops, ActionId, Fsp, StateId};
 
 use crate::compact::narrow;
-use crate::language::{closure_of_view, subset_step_view, Subset};
+use crate::language::{closure_of_view, pair_search, subset_step_view, walk_up_to, word_names};
 use crate::saturate::{weak_instance, SaturatedView};
 
 /// A single failure pair `(trace, refusal)`, with action names spelled out.
@@ -69,7 +74,7 @@ pub(crate) fn maximal_refusals(view: SaturatedView<'_>, subset: &[u32]) -> Vec<V
     refusals.dedup();
     // Keep only maximal sets under inclusion.
     let is_subset = |a: &[u32], b: &[u32]| a.iter().all(|x| b.contains(x));
-    let maximal: Vec<Vec<u32>> = refusals
+    refusals
         .iter()
         .filter(|r| {
             !refusals
@@ -77,18 +82,13 @@ pub(crate) fn maximal_refusals(view: SaturatedView<'_>, subset: &[u32]) -> Vec<V
                 .any(|other| other != *r && is_subset(r, other))
         })
         .cloned()
-        .collect();
-    maximal
+        .collect()
 }
 
+/// A set of compact action indices spelled with the process's action names.
 pub(crate) fn name_set(fsp: &Fsp, actions: &[u32]) -> Vec<String> {
-    actions
-        .iter()
-        .map(|&a| {
-            fsp.action_name(ccs_fsp::ActionId::from_index(a as usize))
-                .to_owned()
-        })
-        .collect()
+    let name = |&a: &u32| fsp.action_name(ActionId::from_index(a as usize)).to_owned();
+    actions.iter().map(name).collect()
 }
 
 /// Picks a refusal set present in the downward closure of `left` antichain
@@ -108,8 +108,7 @@ pub(crate) fn distinguishing_refusal(left: &[Vec<u32>], right: &[Vec<u32>]) -> O
 #[must_use]
 pub fn failure_equivalent_states(fsp: &Fsp, p: StateId, q: StateId) -> FailureResult {
     let inst = weak_instance(fsp, &tau_closure(fsp));
-    let view = SaturatedView::of(&inst);
-    failure_equivalent_states_with(fsp, view, p, q)
+    failure_equivalent_states_with(fsp, SaturatedView::of(&inst), p, q)
 }
 
 /// [`failure_equivalent_states`] against a caller-provided saturated view —
@@ -121,56 +120,27 @@ pub(crate) fn failure_equivalent_states_with(
     p: StateId,
     q: StateId,
 ) -> FailureResult {
+    let step = |xs: &[u32], a| subset_step_view(view, xs, a);
     let start = (closure_of_view(view, p), closure_of_view(view, q));
-    let mut seen: HashSet<(Subset, Subset)> = HashSet::new();
-    let mut queue: VecDeque<((Subset, Subset), Vec<String>)> = VecDeque::new();
-    seen.insert(start.clone());
-    queue.push_back((start, Vec::new()));
-    while let Some(((xs, ys), trace)) = queue.pop_front() {
+    let mismatch = pair_search(start, fsp.num_actions(), step, |xs, ys| {
         // Trace present on one side only: (s, ∅) separates the failure sets.
         if xs.is_empty() != ys.is_empty() {
-            return FailureResult {
-                equivalent: false,
-                witness: Some(FailurePair {
-                    trace,
-                    refusal: Vec::new(),
-                }),
-            };
+            return Some(Vec::new());
         }
-        if xs.is_empty() {
-            continue;
-        }
-        let rx = maximal_refusals(view, &xs);
-        let ry = maximal_refusals(view, &ys);
-        if rx != ry {
-            let refusal = distinguishing_refusal(&rx, &ry)
+        let rx = maximal_refusals(view, xs);
+        let ry = maximal_refusals(view, ys);
+        (rx != ry).then(|| {
+            distinguishing_refusal(&rx, &ry)
                 .or_else(|| distinguishing_refusal(&ry, &rx))
-                .unwrap_or_default();
-            return FailureResult {
-                equivalent: false,
-                witness: Some(FailurePair {
-                    refusal: name_set(fsp, &refusal),
-                    trace,
-                }),
-            };
-        }
-        for a in fsp.action_ids() {
-            let nx = subset_step_view(view, &xs, a);
-            let ny = subset_step_view(view, &ys, a);
-            if nx.is_empty() && ny.is_empty() {
-                continue;
-            }
-            let pair = (nx, ny);
-            if seen.insert(pair.clone()) {
-                let mut t = trace.clone();
-                t.push(fsp.action_name(a).to_owned());
-                queue.push_back((pair, t));
-            }
-        }
-    }
+                .unwrap_or_default()
+        })
+    });
     FailureResult {
-        equivalent: true,
-        witness: None,
+        equivalent: mismatch.is_none(),
+        witness: mismatch.map(|(trace, refusal)| FailurePair {
+            trace: word_names(fsp, &trace),
+            refusal: name_set(fsp, &refusal),
+        }),
     }
 }
 
@@ -194,35 +164,24 @@ pub fn failures_up_to(
 ) -> Vec<(Vec<String>, Vec<Vec<String>>)> {
     let inst = weak_instance(fsp, &tau_closure(fsp));
     let view = SaturatedView::of(&inst);
-    let mut out = Vec::new();
-    let mut frontier: Vec<(Subset, Vec<String>)> = vec![(closure_of_view(view, p), Vec::new())];
-    for len in 0..=max_len {
-        let mut next_frontier = Vec::new();
-        for (subset, trace) in &frontier {
-            let refusals = maximal_refusals(view, subset)
-                .iter()
-                .map(|r| name_set(fsp, r))
-                .collect();
-            out.push((trace.clone(), refusals));
-            if len == max_len {
-                continue;
-            }
-            for a in fsp.action_ids() {
-                let nx = subset_step_view(view, subset, a);
-                if nx.is_empty() {
-                    continue;
-                }
-                let mut t = trace.clone();
-                t.push(fsp.action_name(a).to_owned());
-                next_frontier.push((nx, t));
-            }
-        }
-        frontier = next_frontier;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    out
+    let step = |subset: &[u32], a| subset_step_view(view, subset, a);
+    let mut failures = Vec::new();
+    walk_up_to(
+        closure_of_view(view, p),
+        fsp.num_actions(),
+        max_len,
+        step,
+        |subset, trace| {
+            failures.push((trace.to_vec(), maximal_refusals(view, subset)));
+        },
+    );
+    failures
+        .iter()
+        .map(|(trace, refusals)| {
+            let names = refusals.iter().map(|r| name_set(fsp, r)).collect();
+            (word_names(fsp, trace), names)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -15,7 +15,10 @@
 //!   kept as the cross-check oracle): each level groups states by comparing
 //!   every state against one representative per known class, and each
 //!   comparison runs its own synchronized subset construction over weak
-//!   transitions, comparing class-sets at every reachable pair of subsets.
+//!   transitions — the oracles' shared pair search in
+//!   [`language`](crate::language) — comparing class-sets at every
+//!   reachable pair of subsets.  [`kobs_partition`] and
+//!   [`kobs_equivalent_states`] take their levels from one level loop.
 //!   A level costs `Θ(n · classes)` independent exponential searches.
 //! * **One-arena signature refinement** ([`kobs_partition_arena`], the fast
 //!   path the [`session`](crate::session) layer uses): the `s`-derivatives
@@ -33,14 +36,12 @@
 //! each level is computed from the previous one without assuming
 //! refinement — the signature seed makes no chain assumption either.
 
-use std::collections::{HashSet, VecDeque};
-
 use ccs_fsp::saturate::tau_closure;
-use ccs_fsp::{ops, ActionId, Fsp, StateId};
+use ccs_fsp::{ops, Fsp, StateId};
 use ccs_partition::Partition;
 
 use crate::determinize::{self, SubsetAutomaton};
-use crate::language::{closure_of_view, subset_step_view, Subset};
+use crate::language::{closure_of_view, pair_search, subset_step_view};
 use crate::relation::representative_scan;
 use crate::saturate::{weak_instance, SaturatedView};
 use crate::session::EquivSession;
@@ -58,10 +59,22 @@ use crate::Equivalence;
 #[must_use]
 pub fn kobs_partition(fsp: &Fsp, k: usize) -> Partition {
     let inst = weak_instance(fsp, &tau_closure(fsp));
-    let view = SaturatedView::of(&inst);
+    level(fsp, SaturatedView::of(&inst), k)
+}
+
+/// Level `k` of the oracle hierarchy.  Each level groups states with
+/// pairwise-equal class-set behaviour over the previous one (the relation
+/// is transitive, so comparing against one representative per group is
+/// sound); all weak moves are slice lookups in the shared
+/// [`SaturatedView`].  The [`session`](crate::session) layer iterates
+/// [`arena_level`] instead.
+fn level(fsp: &Fsp, view: SaturatedView<'_>, k: usize) -> Partition {
     let mut current = Partition::from_assignment(&extension_assignment(fsp));
     for _ in 0..k {
-        current = refine_level(view, &current);
+        let mut scratch = ClassScratch::new(current.num_blocks());
+        current = representative_scan(view.num_states(), |s, rep| {
+            pair_equivalent(view, &current, &mut scratch, s, rep)
+        });
     }
     current
 }
@@ -104,10 +117,7 @@ pub fn kobs_equivalent_states(fsp: &Fsp, p: StateId, q: StateId, k: usize) -> bo
     }
     let inst = weak_instance(fsp, &tau_closure(fsp));
     let view = SaturatedView::of(&inst);
-    let mut prev = Partition::from_assignment(&extension_assignment(fsp));
-    for _ in 0..k - 1 {
-        prev = refine_level(view, &prev);
-    }
+    let prev = level(fsp, view, k - 1);
     let mut scratch = ClassScratch::new(prev.num_blocks());
     pair_equivalent(view, &prev, &mut scratch, p, q)
 }
@@ -118,19 +128,6 @@ pub fn kobs_equivalent(left: &Fsp, right: &Fsp, k: usize) -> bool {
     let union = ops::disjoint_union(left, right);
     let (p, q) = ops::union_starts(&union, left, right);
     kobs_equivalent_states(&union.fsp, p, q, k)
-}
-
-/// Builds level `k+1` from level `k` by grouping states with pairwise-equal
-/// class-set behaviour (the relation is transitive, so comparing against one
-/// representative per group is sound).  All weak moves are slice lookups in
-/// the shared [`SaturatedView`].  This is the slow per-pair path, retained
-/// as the oracle; the [`session`](crate::session) layer iterates
-/// [`arena_level`] instead.
-pub(crate) fn refine_level(view: SaturatedView<'_>, prev: &Partition) -> Partition {
-    let mut scratch = ClassScratch::new(prev.num_blocks());
-    representative_scan(view.num_states(), |s, rep| {
-        pair_equivalent(view, prev, &mut scratch, s, rep)
-    })
 }
 
 /// Epoch-stamped scratch for class-set comparisons: decides whether two
@@ -192,29 +189,12 @@ fn pair_equivalent(
     p: StateId,
     q: StateId,
 ) -> bool {
+    let step = |xs: &[u32], a| subset_step_view(view, xs, a);
     let start = (closure_of_view(view, p), closure_of_view(view, q));
-    let mut seen: HashSet<(Subset, Subset)> = HashSet::new();
-    let mut queue: VecDeque<(Subset, Subset)> = VecDeque::new();
-    seen.insert(start.clone());
-    queue.push_back(start);
-    while let Some((xs, ys)) = queue.pop_front() {
-        if !scratch.class_sets_equal(prev, &xs, &ys) {
-            return false;
-        }
-        for a in (0..view.num_actions()).map(ActionId::from_index) {
-            let nx = subset_step_view(view, &xs, a);
-            let ny = subset_step_view(view, &ys, a);
-            if nx.is_empty() && ny.is_empty() {
-                continue;
-            }
-            let pair = (nx, ny);
-            if !seen.contains(&pair) {
-                seen.insert(pair.clone());
-                queue.push_back(pair);
-            }
-        }
-    }
-    true
+    pair_search(start, view.num_actions(), step, |xs, ys| {
+        (!scratch.class_sets_equal(prev, xs, ys)).then_some(())
+    })
+    .is_none()
 }
 
 #[cfg(test)]

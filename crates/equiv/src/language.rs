@@ -9,6 +9,19 @@
 //! soon as a reachable pair of subsets disagrees on acceptance.  The worst
 //! case is exponential — exactly the behaviour Theorem 4.1(b) predicts — but
 //! instances arising from small processes stay small.
+//!
+//! The subset construction of the slow oracles is written once, here, in
+//! two crate-private walks.  `pair_search` is the synchronized BFS over
+//! pairs of subsets behind the language, trace,
+//! [failure](crate::failures) and [`≈ₖ`](crate::kobs) pair checkers: each
+//! supplies only its step function and the observation it compares at every
+//! pair (acceptance, emptiness, maximal refusals, `≈ₖ₋₁` class sets).
+//! `walk_up_to` is the bounded word enumeration behind [`language_up_to`],
+//! [`traces_up_to`](crate::traces::traces_up_to) and
+//! [`failures_up_to`](crate::failures::failures_up_to).  Neither shares code
+//! with the production engines ([`determinize`](crate::determinize),
+//! [`onthefly`](crate::onthefly)), which these oracles are the independent
+//! reference for.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -94,6 +107,86 @@ pub(crate) fn subset_step_view(
     out
 }
 
+/// The synchronized subset construction of the per-pair oracles: a BFS over
+/// the pairs of subsets reachable from `start` by the same word, skipping
+/// pairs where both sides are empty.  `differ` is asked about every reached
+/// pair before it is stepped; the first pair it reports yields the word
+/// that reached it (shortest, ties broken by action order) together with
+/// `differ`'s local witness.  `None` means no reachable pair differs.
+pub(crate) fn pair_search<D>(
+    start: (Subset, Subset),
+    num_actions: usize,
+    mut step: impl FnMut(&[u32], ActionId) -> Subset,
+    mut differ: impl FnMut(&[u32], &[u32]) -> Option<D>,
+) -> Option<(Vec<ActionId>, D)> {
+    let mut seen: HashSet<(Subset, Subset)> = HashSet::new();
+    seen.insert(start.clone());
+    // A breadth-first queue that keeps its visited entries: each one records
+    // the entry it was reached from and by which action, so the word of the
+    // reported pair is read back along those links.
+    let mut queue = vec![(start, None::<(usize, ActionId)>)];
+    let mut head = 0;
+    while head < queue.len() {
+        // The subsets are not needed once stepped; `seen` keeps its own copy.
+        let (xs, ys) = std::mem::take(&mut queue[head].0);
+        if let Some(local) = differ(&xs, &ys) {
+            let links = std::iter::successors(queue[head].1, |&(parent, _)| queue[parent].1);
+            let mut word: Vec<ActionId> = links.map(|(_, a)| a).collect();
+            word.reverse();
+            return Some((word, local));
+        }
+        for a in (0..num_actions).map(ActionId::from_index) {
+            let pair = (step(&xs, a), step(&ys, a));
+            if (!pair.0.is_empty() || !pair.1.is_empty()) && !seen.contains(&pair) {
+                seen.insert(pair.clone());
+                queue.push((pair, Some((head, a))));
+            }
+        }
+        head += 1;
+    }
+    None
+}
+
+/// The bounded word walk of the `*_up_to` enumerations: visits `start`
+/// with the empty word, then every non-empty subset reached by a word of
+/// length `1..=max_len`, level by level in frontier order, without
+/// deduplicating subsets.
+pub(crate) fn walk_up_to(
+    start: Subset,
+    num_actions: usize,
+    max_len: usize,
+    mut step: impl FnMut(&[u32], ActionId) -> Subset,
+    mut visit: impl FnMut(&[u32], &[ActionId]),
+) {
+    visit(&start, &[]);
+    let mut frontier = vec![(start, Vec::new())];
+    for _ in 0..max_len {
+        let mut next_frontier = Vec::new();
+        for (subset, word) in &frontier {
+            for a in (0..num_actions).map(ActionId::from_index) {
+                let nx = step(subset, a);
+                if !nx.is_empty() {
+                    let mut w = word.clone();
+                    w.push(a);
+                    visit(&nx, &w);
+                    next_frontier.push((nx, w));
+                }
+            }
+        }
+        frontier = next_frontier;
+        if frontier.is_empty() {
+            break;
+        }
+    }
+}
+
+/// A word of action ids spelled with the process's action names.
+pub(crate) fn word_names(fsp: &Fsp, word: &[ActionId]) -> Vec<String> {
+    word.iter()
+        .map(|&a| fsp.action_name(a).to_owned())
+        .collect()
+}
+
 /// Whether a subset state contains an accepting state.
 pub(crate) fn subset_accepting(fsp: &Fsp, subset: &[u32]) -> bool {
     subset
@@ -105,8 +198,7 @@ pub(crate) fn subset_accepting(fsp: &Fsp, subset: &[u32]) -> bool {
 /// equal: `L(p) = L(q)`.
 #[must_use]
 pub fn language_equivalent_states(fsp: &Fsp, p: StateId, q: StateId) -> LanguageResult {
-    let closure = tau_closure(fsp);
-    language_equivalent_states_with(fsp, &closure, p, q)
+    language_equivalent_states_with(fsp, &tau_closure(fsp), p, q)
 }
 
 /// [`language_equivalent_states`] against a caller-provided τ-closure — the
@@ -118,40 +210,22 @@ pub(crate) fn language_equivalent_states_with(
     p: StateId,
     q: StateId,
 ) -> LanguageResult {
+    let step = |xs: &[u32], a| subset_step(fsp, closure, xs, a);
     let start = (closure_of(closure, p), closure_of(closure, q));
-    let mut seen: HashSet<(Subset, Subset)> = HashSet::new();
-    // Queue holds the pair plus the word that reached it.
-    let mut queue: VecDeque<((Subset, Subset), Vec<ActionId>)> = VecDeque::new();
-    seen.insert(start.clone());
-    queue.push_back((start, Vec::new()));
-    while let Some(((xs, ys), word)) = queue.pop_front() {
-        if subset_accepting(fsp, &xs) != subset_accepting(fsp, &ys) {
-            return LanguageResult {
-                holds: false,
-                witness: Some(
-                    word.iter()
-                        .map(|&a| fsp.action_name(a).to_owned())
-                        .collect(),
-                ),
-            };
+    let mismatch = pair_search(start, fsp.num_actions(), step, |xs, ys| {
+        (subset_accepting(fsp, xs) != subset_accepting(fsp, ys)).then_some(())
+    });
+    LanguageResult::refuted_by(fsp, mismatch)
+}
+
+impl LanguageResult {
+    /// The result of a [`pair_search`] that reports no local witness: the
+    /// property holds iff no pair differed, and the word is the witness.
+    pub(crate) fn refuted_by(fsp: &Fsp, mismatch: Option<(Vec<ActionId>, ())>) -> Self {
+        LanguageResult {
+            holds: mismatch.is_none(),
+            witness: mismatch.map(|(word, ())| word_names(fsp, &word)),
         }
-        for a in fsp.action_ids() {
-            let nx = subset_step(fsp, closure, &xs, a);
-            let ny = subset_step(fsp, closure, &ys, a);
-            if nx.is_empty() && ny.is_empty() {
-                continue;
-            }
-            let pair = (nx, ny);
-            if seen.insert(pair.clone()) {
-                let mut w = word.clone();
-                w.push(a);
-                queue.push_back((pair, w));
-            }
-        }
-    }
-    LanguageResult {
-        holds: true,
-        witness: None,
     }
 }
 
@@ -160,12 +234,7 @@ pub(crate) fn language_equivalent_states_with(
 pub fn language_equivalent(left: &Fsp, right: &Fsp) -> LanguageResult {
     let union = ops::disjoint_union(left, right);
     let (p, q) = ops::union_starts(&union, left, right);
-    let mut result = language_equivalent_states(&union.fsp, p, q);
-    // Witness action names are shared by construction; nothing to translate.
-    if let Some(w) = &mut result.witness {
-        w.shrink_to_fit();
-    }
-    result
+    language_equivalent_states(&union.fsp, p, q)
 }
 
 /// Tests whether a state accepts a given word (membership, the efficiently
@@ -203,11 +272,7 @@ pub fn is_universal(fsp: &Fsp, p: StateId) -> LanguageResult {
         if !subset_accepting(fsp, &xs) {
             return LanguageResult {
                 holds: false,
-                witness: Some(
-                    word.iter()
-                        .map(|&a| fsp.action_name(a).to_owned())
-                        .collect(),
-                ),
+                witness: Some(word_names(fsp, &word)),
             };
         }
         for a in fsp.action_ids() {
@@ -229,33 +294,33 @@ pub fn is_universal(fsp: &Fsp, p: StateId) -> LanguageResult {
 /// words of action names.  Intended for tests and small examples.
 #[must_use]
 pub fn language_up_to(fsp: &Fsp, p: StateId, max_len: usize) -> Vec<Vec<String>> {
+    words_up_to(fsp, p, max_len, |subset| subset_accepting(fsp, subset))
+}
+
+/// The [`walk_up_to`] of the τ-closure notions: the words of length at
+/// most `max_len` that lead from `p` to a subset `keep` accepts, as sorted,
+/// deduplicated action names.
+pub(crate) fn words_up_to(
+    fsp: &Fsp,
+    p: StateId,
+    max_len: usize,
+    keep: impl Fn(&[u32]) -> bool,
+) -> Vec<Vec<String>> {
     let closure = tau_closure(fsp);
-    let mut out = Vec::new();
-    let mut frontier: Vec<(Subset, Vec<String>)> = vec![(closure_of(&closure, p), Vec::new())];
-    if subset_accepting(fsp, &frontier[0].0) {
-        out.push(Vec::new());
-    }
-    for _ in 0..max_len {
-        let mut next_frontier = Vec::new();
-        for (subset, word) in &frontier {
-            for a in fsp.action_ids() {
-                let nx = subset_step(fsp, &closure, subset, a);
-                if nx.is_empty() {
-                    continue;
-                }
-                let mut w = word.clone();
-                w.push(fsp.action_name(a).to_owned());
-                if subset_accepting(fsp, &nx) {
-                    out.push(w.clone());
-                }
-                next_frontier.push((nx, w));
+    let step = |subset: &[u32], a| subset_step(fsp, &closure, subset, a);
+    let mut kept = Vec::new();
+    walk_up_to(
+        closure_of(&closure, p),
+        fsp.num_actions(),
+        max_len,
+        step,
+        |subset, word| {
+            if keep(subset) {
+                kept.push(word.to_vec());
             }
-        }
-        frontier = next_frontier;
-        if frontier.is_empty() {
-            break;
-        }
-    }
+        },
+    );
+    let mut out: Vec<Vec<String>> = kept.iter().map(|w| word_names(fsp, w)).collect();
     out.sort();
     out.dedup();
     out

@@ -397,30 +397,21 @@ impl EquivSession {
             DetNotion::of(notion).is_some(),
             "representative scan only covers the pairwise PSPACE notions"
         );
-        relation::representative_scan(self.fsp.num_states(), |s, rep| {
-            self.oracle_pairwise_equivalent(notion, s, rep)
-        })
-    }
-
-    /// One pair query with the original subset-construction checkers,
-    /// against the cached closure/view — the oracle behind
-    /// [`EquivSession::representative_scan_partition`].
-    fn oracle_pairwise_equivalent(&self, notion: Equivalence, p: StateId, q: StateId) -> bool {
-        match notion {
+        // Each pair query runs against the cached closure or view.
+        let fsp = &self.fsp;
+        relation::representative_scan(fsp.num_states(), |s, rep| match notion {
             Equivalence::Language => {
-                let closure = self.tau_closure();
-                language::language_equivalent_states_with(&self.fsp, closure, p, q).holds
+                language::language_equivalent_states_with(fsp, self.tau_closure(), s, rep).holds
             }
             Equivalence::Trace => {
-                let closure = self.tau_closure();
-                traces::trace_equivalent_states_with(&self.fsp, closure, p, q).holds
+                traces::trace_equivalent_states_with(fsp, self.tau_closure(), s, rep).holds
             }
             Equivalence::Failure => {
                 let view = self.saturated_view();
-                failures::failure_equivalent_states_with(&self.fsp, view, p, q).equivalent
+                failures::failure_equivalent_states_with(fsp, view, s, rep).equivalent
             }
-            _ => unreachable!("oracle only covers the pairwise PSPACE notions"),
-        }
+            _ => unreachable!("checked above"),
+        })
     }
 
     /// One pair query through the determinization layer: the two ε-closure

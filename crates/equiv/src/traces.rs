@@ -5,50 +5,29 @@
 //! with `≈₁` / language equivalence there (Proposition 2.2.3(b)).  For
 //! general processes the two notions differ (acceptance matters for the
 //! language but not for traces); both are provided.
-
-use std::collections::{HashSet, VecDeque};
+//!
+//! Both functions ride the oracles' shared subset walks in
+//! [`language`](crate::language), stepping over the τ-closure: the trace
+//! checker observes only whether each side of a subset pair is empty (a
+//! trace one side has and the other lacks), and [`traces_up_to`] keeps
+//! every word of the bounded walk.
 
 use ccs_fsp::saturate::{tau_closure, TauClosure};
 use ccs_fsp::{ops, Fsp, StateId};
 
-use crate::language::{closure_of, subset_step, LanguageResult, Subset};
+use crate::language::{closure_of, pair_search, subset_step, words_up_to, LanguageResult};
 
 /// Enumerates the traces of a state up to a given length (observable strings
 /// `s` with `p ⇒s p′` for some `p′`), sorted.
 #[must_use]
 pub fn traces_up_to(fsp: &Fsp, p: StateId, max_len: usize) -> Vec<Vec<String>> {
-    let closure = tau_closure(fsp);
-    let mut out = vec![Vec::new()];
-    let mut frontier: Vec<(Subset, Vec<String>)> = vec![(closure_of(&closure, p), Vec::new())];
-    for _ in 0..max_len {
-        let mut next_frontier = Vec::new();
-        for (subset, word) in &frontier {
-            for a in fsp.action_ids() {
-                let nx = subset_step(fsp, &closure, subset, a);
-                if nx.is_empty() {
-                    continue;
-                }
-                let mut w = word.clone();
-                w.push(fsp.action_name(a).to_owned());
-                out.push(w.clone());
-                next_frontier.push((nx, w));
-            }
-        }
-        frontier = next_frontier;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
+    words_up_to(fsp, p, max_len, |_| true)
 }
 
 /// Tests whether two states of the same process have the same trace set.
 #[must_use]
 pub fn trace_equivalent_states(fsp: &Fsp, p: StateId, q: StateId) -> LanguageResult {
-    let closure = tau_closure(fsp);
-    trace_equivalent_states_with(fsp, &closure, p, q)
+    trace_equivalent_states_with(fsp, &tau_closure(fsp), p, q)
 }
 
 /// [`trace_equivalent_states`] against a caller-provided τ-closure — used by
@@ -60,39 +39,12 @@ pub(crate) fn trace_equivalent_states_with(
     p: StateId,
     q: StateId,
 ) -> LanguageResult {
+    let step = |xs: &[u32], a| subset_step(fsp, closure, xs, a);
     let start = (closure_of(closure, p), closure_of(closure, q));
-    let mut seen: HashSet<(Subset, Subset)> = HashSet::new();
-    let mut queue: VecDeque<((Subset, Subset), Vec<String>)> = VecDeque::new();
-    seen.insert(start.clone());
-    queue.push_back((start, Vec::new()));
-    while let Some(((xs, ys), word)) = queue.pop_front() {
-        if xs.is_empty() != ys.is_empty() {
-            return LanguageResult {
-                holds: false,
-                witness: Some(word),
-            };
-        }
-        if xs.is_empty() {
-            continue;
-        }
-        for a in fsp.action_ids() {
-            let nx = subset_step(fsp, closure, &xs, a);
-            let ny = subset_step(fsp, closure, &ys, a);
-            if nx.is_empty() && ny.is_empty() {
-                continue;
-            }
-            let pair = (nx, ny);
-            if seen.insert(pair.clone()) {
-                let mut w = word.clone();
-                w.push(fsp.action_name(a).to_owned());
-                queue.push_back((pair, w));
-            }
-        }
-    }
-    LanguageResult {
-        holds: true,
-        witness: None,
-    }
+    let mismatch = pair_search(start, fsp.num_actions(), step, |xs, ys| {
+        (xs.is_empty() != ys.is_empty()).then_some(())
+    });
+    LanguageResult::refuted_by(fsp, mismatch)
 }
 
 /// Tests whether the start states of two processes have the same trace set.
