@@ -10,7 +10,9 @@
 //! This module exposes the whole refinement *sequence*: the naive signature
 //! rounds of Lemma 3.2 ([`naive::rounds`]) over the weak instance of
 //! [`saturate`](crate::saturate), whose level 0 groups states by extension
-//! set.  The k-observational hierarchy `≈ₖ` of [`kobs`](crate::kobs) starts
+//! set.  Single-level questions ([`limited_equivalent_at`],
+//! [`limited_equivalent`]) run the same rounds through [`naive::level`],
+//! which holds one level at a time.  The k-observational hierarchy `≈ₖ` of [`kobs`](crate::kobs) starts
 //! from the same level 0 but is a different sequence (it compares class sets
 //! over whole strings), and distinguishing formulas
 //! ([`witness`](crate::witness)) take their recursion depth from the same
@@ -95,10 +97,12 @@ pub fn limited_hierarchy_up_to(fsp: &Fsp, max_rounds: usize) -> LimitedHierarchy
     }
 }
 
-/// Tests `p ≃ₖ q` for two states of the same process.
+/// Tests `p ≃ₖ q` for two states of the same process, holding one level of
+/// the sequence at a time ([`naive::level`]).
 #[must_use]
 pub fn limited_equivalent_at(fsp: &Fsp, p: StateId, q: StateId, k: usize) -> bool {
-    limited_hierarchy_up_to(fsp, k).equivalent_at(k, p, q)
+    let inst = weak_instance(fsp, &tau_closure(fsp));
+    naive::level(&inst, k).same_block(p.index(), q.index())
 }
 
 /// Tests whether the start states of two processes are limited-observationally
@@ -107,8 +111,7 @@ pub fn limited_equivalent_at(fsp: &Fsp, p: StateId, q: StateId, k: usize) -> boo
 pub fn limited_equivalent(left: &Fsp, right: &Fsp) -> bool {
     let union = ops::disjoint_union(left, right);
     let (p, q) = ops::union_starts(&union, left, right);
-    let h = limited_hierarchy(&union.fsp);
-    h.limit().same_block(p.index(), q.index())
+    limited_equivalent_at(&union.fsp, p, q, usize::MAX)
 }
 
 #[cfg(test)]

@@ -325,13 +325,10 @@ impl EquivSession {
         match notion {
             Equivalence::Strong => solve(self.strong_instance(), Algorithm::PaigeTarjan),
             Equivalence::Observational => solve(self.weak_instance(), Algorithm::PaigeTarjan),
-            Equivalence::Limited(k) => {
-                // `≃ₖ` is level `k` of the naive rounds over the weak
-                // instance (initial blocks by extension set, columns Σ
-                // plus ε); fewer levels mean the rounds converged earlier.
-                let mut levels = naive::rounds(self.weak_instance(), k);
-                levels.pop().expect("level 0 is always present")
-            }
+            // `≃ₖ` is level `k` of the naive rounds over the weak instance
+            // (initial blocks by extension set, columns Σ plus ε), holding
+            // one level at a time whatever `k` is.
+            Equivalence::Limited(k) => naive::level(self.weak_instance(), k),
             Equivalence::KObservational(k) => {
                 if k == 0 {
                     return Partition::from_assignment(&strong::extension_assignment(&self.fsp));
@@ -1110,6 +1107,20 @@ mod tests {
             session.classify_all(Equivalence::Limited(1_000)).as_ref(),
             crate::limited::limited_hierarchy(&f).limit()
         );
+    }
+
+    /// `≃ₖ` stops at the fixpoint: on an `n`-state chain every level from
+    /// `n` on is the same partition, however far past it `k` goes.
+    #[test]
+    fn limited_levels_past_convergence_equal_the_fixpoint() {
+        let n = 12;
+        let text: String = (0..n - 1)
+            .map(|i| format!("trans s{i} a s{}\n", i + 1))
+            .collect();
+        let session = EquivSession::for_process(&format::parse(&text).unwrap());
+        let at_n = session.classify_all(Equivalence::Limited(n));
+        assert_eq!(at_n.num_blocks(), n);
+        assert_eq!(session.classify_all(Equivalence::Limited(10 * n)), at_n);
     }
 
     /// The arena diagnostics only read: on a fresh session they report 0

@@ -18,7 +18,17 @@ use crate::{Instance, Partition};
 /// stable partition.
 #[must_use]
 pub fn refine(instance: &Instance) -> Partition {
-    Partition::from_assignment(&run(instance, usize::MAX, |_| {}))
+    level(instance, usize::MAX)
+}
+
+/// Level `k` of the naive method's refinement sequence: the instance's
+/// initial partition after at most `k` signature rounds, or the fixpoint if
+/// the rounds converge sooner.  Equal to the last element of
+/// [`rounds(instance, k)`](rounds), but holds one block assignment at a
+/// time instead of every level, so its memory does not grow with `k`.
+#[must_use]
+pub fn level(instance: &Instance, k: usize) -> Partition {
+    Partition::from_assignment(&run(instance, k, |_| {}))
 }
 
 /// The refinement sequence of the naive method: level 0 is the instance's

@@ -4,7 +4,8 @@
 //! partitions that pass the `is_consistent_stable` oracle, both on raw
 //! instances and through the Lemma 3.1 reduction from processes; on the
 //! deterministic special case Hopcroft agrees as well.  The naive method's
-//! round sequence (`naive::rounds`) is checked level by level.
+//! round sequence (`naive::rounds`) is checked level by level, and
+//! `naive::level` against its last level.
 
 use ccs_equiv::strong;
 use ccs_partition::{hopcroft, naive, solve, Algorithm, Dfa, Instance, Partition};
@@ -101,6 +102,22 @@ proptest! {
         let levels = naive::rounds(&instances::chain(n), usize::MAX);
         prop_assert_eq!(levels.len(), n);
         prop_assert_eq!(levels[n - 1].num_blocks(), n);
+    }
+
+    #[test]
+    fn naive_level_is_the_last_of_the_rounds(
+        n in 1usize..24,
+        labels in 1usize..4,
+        density in 0usize..5,
+        seed in 0u64..1_000,
+    ) {
+        // `level` runs the same rounds but keeps only the last assignment.
+        for inst in [instances::chain(n), instances::random(n, labels, density * n, seed)] {
+            for k in 0..=n + 2 {
+                let rounds = naive::rounds(&inst, k);
+                prop_assert_eq!(&naive::level(&inst, k), rounds.last().unwrap(), "k = {}", k);
+            }
+        }
     }
 
     #[test]
