@@ -35,7 +35,9 @@
 //!     engines are tested against: `language`, `traces` and `failures`
 //!     `*_equivalent[_states]` (one subset construction per pair), and
 //!     `kobs::kobs_equivalent[_states]` and `kobs::kobs_partition` (the
-//!     per-pair synchronized BFS per level).
+//!     per-pair synchronized BFS per level).  All of them run one
+//!     synchronized pair search written once in [`language`], which shares
+//!     no code with the production engines.
 //!   - *Own-instance solvers* build and solve their instance without a
 //!     session: the `strong` functions (`strong::strong_partition_with`
 //!     runs any solver) and the `limited` hierarchy functions.
