@@ -1,6 +1,7 @@
 //! Experiment E14: the deterministic special case of Section 3 — Hopcroft
 //! minimization (`O(k·n log n)`) and UNION-FIND equivalence (`O(k·n·α(n))`)
-//! versus the generic Paige–Tarjan solver on the same automata.
+//! versus the generic both-halves Kanellakis–Smolka solver on the same
+//! automata.
 
 use std::time::Duration;
 
@@ -30,8 +31,8 @@ fn bench_minimization(c: &mut Criterion) {
             b.iter(|| hopcroft::minimize(d));
         });
         let inst = dfa.to_instance();
-        group.bench_with_input(BenchmarkId::new("paige-tarjan", n), &inst, |b, inst| {
-            b.iter(|| solve(inst, Algorithm::PaigeTarjan));
+        group.bench_with_input(BenchmarkId::new("ks-both-halves", n), &inst, |b, inst| {
+            b.iter(|| solve(inst, Algorithm::KanellakisSmolkaBothHalves));
         });
         group.bench_with_input(BenchmarkId::new("naive", n), &inst, |b, inst| {
             b.iter(|| solve(inst, Algorithm::Naive));

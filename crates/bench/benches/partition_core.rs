@@ -1,7 +1,7 @@
 //! The `partition_core` family: head-to-head solver comparison on the flat
 //! CSR transition core, measuring the smaller-half Kanellakis–Smolka upgrade
-//! against the both-halves baseline, Paige–Tarjan, the naive method, and —
-//! on the deterministic family — Hopcroft.
+//! against the both-halves production refiner, the naive method, and — on
+//! the deterministic family — Hopcroft.
 //!
 //! Workloads come straight from `ccs_workloads::instances`, so the kernels
 //! are measured without FSP construction or the Lemma 3.1 reduction in the

@@ -1,5 +1,5 @@
 //! Experiment E7: the three generalized-partitioning algorithms
-//! (Lemma 3.2 naive, Kanellakis–Smolka, Paige–Tarjan / Theorem 3.1) on the
+//! (Lemma 3.2 naive, Kanellakis–Smolka both-halves and smaller-half) on the
 //! same instances, as a scaling sweep over the number of states.
 
 use std::time::Duration;

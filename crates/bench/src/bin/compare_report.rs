@@ -41,8 +41,8 @@ enum Section {
 
 /// Extracts the tracked tables from a report dump.
 ///
-/// E7 rows are `family states edges naive ks-both ks-small pt` (timings in
-/// the last four columns); WP rows are `family states pairs per-query
+/// E7 rows are `family states edges naive ks-both ks-small` (timings in
+/// the last three columns); WP rows are `family states pairs per-query
 /// session speedup` (timings in columns 3–4, the speedup ratio is derived
 /// and not compared); DET rows are `family states subsets notion rep-scan
 /// det speedup` (timings in columns 4–5, the speedup derived); KOBS rows are
@@ -85,12 +85,12 @@ fn parse_report(text: &str) -> Rows {
         let tokens: Vec<&str> = trimmed.split_whitespace().collect();
         let numeric = |t: &str| t.parse::<f64>().is_ok();
         match section {
-            Section::E7 if tokens.len() == 7 && tokens[1..].iter().all(|t| numeric(t)) => {
+            Section::E7 if tokens.len() == 6 && tokens[1..].iter().all(|t| numeric(t)) => {
                 let key = format!("e7/{}/{}", tokens[0], tokens[1]);
-                let cols = ["naive", "ks-both", "ks-small", "pt"];
+                let cols = ["naive", "ks-both", "ks-small"];
                 let timings = cols
                     .iter()
-                    .zip(&tokens[3..7])
+                    .zip(&tokens[3..6])
                     .map(|(name, t)| ((*name).to_owned(), t.parse().expect("checked numeric")))
                     .collect();
                 rows.insert(key, timings);
@@ -294,9 +294,9 @@ host: cores=4
 
 == E7: generalized partitioning on the CSR core — solver matrix per family ==
    (ks-both = both-halves baseline, ks-small = smaller-half upgrade)
-  family   states      edges     naive ms   ks-both ms  ks-small ms        pt ms
-  random       64        160         1.00         2.00         3.00         4.00
-   chain     1024       1023        90.00        12.00         6.00         8.00
+  family   states      edges     naive ms   ks-both ms  ks-small ms
+  random       64        160         1.00         2.00         3.00
+   chain     1024       1023        90.00        12.00         6.00
 
 == WP: weak pipeline — per-query free functions vs EquivSession batched ==
    (m pair queries: ...)
@@ -374,7 +374,6 @@ host: cores=4
                 ("naive".to_owned(), 90.0),
                 ("ks-both".to_owned(), 12.0),
                 ("ks-small".to_owned(), 6.0),
-                ("pt".to_owned(), 8.0),
             ]
         );
         assert_eq!(
@@ -390,7 +389,7 @@ host: cores=4
 
     #[test]
     fn header_lines_are_not_rows() {
-        let rows = parse_report("== E7: x ==\nfamily states edges a b c d\n");
+        let rows = parse_report("== E7: x ==\nfamily states edges a b c\n");
         assert!(rows.is_empty());
     }
 }

@@ -18,11 +18,13 @@
 use std::time::Instant;
 
 use ccs_bench::{equivalent_pair, general_process, standard_process};
+use ccs_equiv::determinize::{DetNotion, SubsetAutomaton};
 use ccs_equiv::{failures, kobs, strong, weak, EquivSession, Equivalence};
 use ccs_expr::{construct, parse};
 use ccs_partition::incremental::{refine_delta, DeltaPath};
-use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, Dfa};
-use ccs_workloads::{families, mutating_queries, queries};
+use ccs_partition::kanellakis_smolka::refine_both_halves;
+use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, Dfa, Instance};
+use ccs_workloads::{families, mutating_queries, queries, random, RandomConfig};
 
 fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -30,15 +32,26 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (value, start.elapsed().as_secs_f64() * 1e3)
 }
 
+/// The fastest of `runs` timed calls, with the value of the last call.
+fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+    let (mut value, mut best) = time_ms(&mut f);
+    for _ in 1..runs {
+        let (next, t) = time_ms(&mut f);
+        value = next;
+        best = best.min(t);
+    }
+    (value, best)
+}
+
 /// A named generator of scaling instances for the E7 solver matrix.
 type InstanceFamily = (&'static str, fn(usize) -> ccs_partition::Instance);
 
 fn e7_partition_algorithms() {
     println!("\n== E7: generalized partitioning on the CSR core — solver matrix per family ==");
-    println!("   (ks-both = both-halves baseline, ks-small = smaller-half upgrade)");
+    println!("   (ks-both = both-halves, the production refiner; ks-small = smaller-half variant)");
     println!(
-        "{:>8} {:>8} {:>10} {:>12} {:>12} {:>12} {:>12}",
-        "family", "states", "edges", "naive ms", "ks-both ms", "ks-small ms", "pt ms"
+        "{:>8} {:>8} {:>10} {:>12} {:>12} {:>12}",
+        "family", "states", "edges", "naive ms", "ks-both ms", "ks-small ms"
     );
     let families: [InstanceFamily; 4] = [
         ("random", |n| strong::to_instance(&standard_process(n, 42))),
@@ -59,19 +72,16 @@ fn e7_partition_algorithms() {
             let (p_naive, t_naive) = time_ms(|| solve(&inst, Algorithm::Naive));
             let (p_both, t_both) = time_ms(|| solve(&inst, Algorithm::KanellakisSmolkaBothHalves));
             let (p_ks, t_ks) = time_ms(|| solve(&inst, Algorithm::KanellakisSmolka));
-            let (p_pt, t_pt) = time_ms(|| solve(&inst, Algorithm::PaigeTarjan));
             assert_eq!(p_naive, p_both);
             assert_eq!(p_naive, p_ks);
-            assert_eq!(p_ks, p_pt);
             println!(
-                "{:>8} {:>8} {:>10} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",
+                "{:>8} {:>8} {:>10} {:>12.2} {:>12.2} {:>12.2}",
                 family,
                 inst.num_elements(),
                 inst.num_edges(),
                 t_naive,
                 t_both,
-                t_ks,
-                t_pt
+                t_ks
             );
         }
     }
@@ -276,9 +286,10 @@ fn delta_incremental_maintenance() {
     println!(
         "   (mutating_queries gadget stream: per batch, Instance::apply_delta + refine_delta —\n    \
          the session's production path — repair the last stable partition (seeded splitter\n    \
-         worklist, certificate check, quotient fallback) vs solving the mutated instance from\n    \
-         scratch; i/q/f = incremental / quotient-rebuild / full-rebuild batch counts; every\n    \
-         batch asserts block-for-block agreement with the from-scratch oracle)"
+         worklist, certificate check, quotient fallback) vs re-solving the mutated instance\n    \
+         from scratch with the production refiner (ks-both); i/q/f = incremental /\n    \
+         quotient-rebuild / full-rebuild batch counts; every batch asserts block-for-block\n    \
+         agreement with an untimed naive solve)"
     );
     println!(
         "{:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>9}",
@@ -289,14 +300,14 @@ fn delta_incremental_maintenance() {
     // cost (page faults, lazy allocator growth).
     {
         let (warm, _) = mutating_queries::mutating_instance(64, 0, 0, 42);
-        let _ = solve(&warm, Algorithm::PaigeTarjan);
+        let _ = refine_both_halves(&warm);
     }
     for &n in &[256usize, 1024, 4096] {
         for &edits in &[1usize, 4] {
             let copies = n / mutating_queries::GADGET_STATES;
             let (mut inst, batches) =
                 mutating_queries::mutating_instance(copies, BATCHES, edits, 42);
-            let mut partition = solve(&inst, Algorithm::PaigeTarjan);
+            let mut partition = refine_both_halves(&inst);
             let mut paths = Vec::with_capacity(batches.len());
             let (mut t_delta, mut t_rebuild) = (0.0f64, 0.0f64);
             for batch in &batches {
@@ -305,12 +316,14 @@ fn delta_incremental_maintenance() {
                     refine_delta(&inst, &partition, &added, &removed)
                 });
                 t_delta += t;
-                let (oracle, t) = time_ms(|| solve(&inst, Algorithm::PaigeTarjan));
+                let (rebuilt, t) = time_ms(|| refine_both_halves(&inst));
                 t_rebuild += t;
+                let oracle = solve(&inst, Algorithm::Naive);
                 assert_eq!(
                     next, oracle,
                     "delta-refined partition diverged from the from-scratch oracle"
                 );
+                assert_eq!(rebuilt, oracle, "ks-both rebuild diverged from naive");
                 assert!(
                     inst.is_consistent_stable(&next),
                     "delta-refined partition is not a stable refinement"
@@ -338,6 +351,98 @@ fn delta_incremental_maintenance() {
             );
         }
     }
+}
+
+/// Times the solvers on one instance and prints its SOLVE row: naive once,
+/// ks-both and ks-small best of three, and Hopcroft best of three when the
+/// instance is `dfa`'s.  Every solver must return naive's blocks.
+fn solve_row(family: &str, inst: &Instance, dfa: Option<&Dfa>) {
+    let _ = inst.num_edges();
+    let (reference, t_naive) = time_ms(|| solve(inst, Algorithm::Naive));
+    let (both, t_both) = best_of(3, || refine_both_halves(inst));
+    let (small, t_small) = best_of(3, || solve(inst, Algorithm::KanellakisSmolka));
+    let n = inst.num_elements();
+    assert_eq!(
+        both, reference,
+        "SOLVE {family}/{n}: ks-both diverged from naive"
+    );
+    assert_eq!(
+        small, reference,
+        "SOLVE {family}/{n}: ks-small diverged from naive"
+    );
+    let t_hopcroft = dfa.map_or_else(
+        || "-".to_owned(),
+        |d| {
+            let (minimized, t) = best_of(3, || hopcroft::minimize(d));
+            assert_eq!(
+                minimized, reference,
+                "SOLVE {family}/{n}: hopcroft diverged from naive"
+            );
+            format!("{t:.2}")
+        },
+    );
+    println!(
+        "{:>8} {:>8} {:>10} {:>12.2} {:>12.2} {:>12.2} {:>12}",
+        family,
+        n,
+        inst.num_edges(),
+        t_naive,
+        t_both,
+        t_small,
+        t_hopcroft
+    );
+}
+
+fn solve_production_instances() {
+    println!("\n== SOLVE: every solver on the instances production refines ==");
+    println!(
+        "   (rnd = branching-shaped random_fsp, 2 transitions per state, τ ratio 0.3: the\n    \
+         session's strong (-s) and weak (-w) instances; dfa = the language product DFA of\n    \
+         det_blowup(1024, 10), (1024, 12) and (1536, 11); live = the 4096-state live-edit\n    \
+         gadget session; naive runs once, the rest best of 3; ks-both is the production\n    \
+         general refiner, hopcroft the production DFA minimizer ('-' off DFAs); every row\n    \
+         asserts each solver's blocks equal naive's)"
+    );
+    println!(
+        "{:>8} {:>8} {:>10} {:>12} {:>12} {:>12} {:>12}",
+        "family", "states", "edges", "naive ms", "ks-both ms", "ks-small ms", "hopcroft ms"
+    );
+    for &n in &[512usize, 1024, 2048] {
+        let fsp = random::random_fsp(&RandomConfig {
+            states: n,
+            transitions_per_state: 2.0,
+            tau_ratio: 0.3,
+            accept_ratio: 0.5,
+            seed: 1,
+            ..RandomConfig::default()
+        });
+        let session = EquivSession::for_process(&fsp);
+        solve_row("rnd-s", session.strong_instance(), None);
+        solve_row("rnd-w", session.weak_instance(), None);
+    }
+    for &(n, window) in &[(1024usize, 10usize), (1024, 12), (1536, 11)] {
+        let fsp = families::det_blowup(n, window);
+        let session = EquivSession::for_process(&fsp);
+        let view = session.saturated_view();
+        let mut auto = SubsetAutomaton::new(&fsp);
+        for s in fsp.state_ids() {
+            auto.start(view, s);
+        }
+        auto.explore(view);
+        let classes = auto.classes(view, DetNotion::Language);
+        let dfa = Dfa::from_subset_automaton(
+            auto.num_actions(),
+            SubsetAutomaton::DEAD as usize,
+            auto.transition_table(),
+            &classes,
+        );
+        solve_row(&format!("dfa-w{window}"), &dfa.to_instance(), Some(&dfa));
+    }
+    let copies = 4096 / mutating_queries::GADGET_STATES;
+    let live = mutating_queries::mutating_workload(copies, 0, 0, 0, 42);
+    let session = EquivSession::for_process(&live.fsp);
+    solve_row("live-s", session.strong_instance(), None);
+    solve_row("live-w", session.weak_instance(), None);
 }
 
 fn mem_resident_footprint() {
@@ -410,7 +515,7 @@ fn e8_strong_equivalence() {
 
 fn e9_observational_equivalence() {
     println!("\n== E9: observational equivalence (Theorem 4.1a): the session's weak pipeline ==");
-    println!("   (fresh session per size; asserts the saturate() → strong_partition oracle)");
+    println!("   (fresh session per size; asserts the saturate() → naive-solver oracle)");
     println!(
         "{:>8} {:>12} {:>12} {:>12} {:>12} {:>10}",
         "states", "closure ms", "instance ms", "refine ms", "weak edges", "classes"
@@ -421,7 +526,8 @@ fn e9_observational_equivalence() {
         let (_, t_closure) = time_ms(|| session.tau_closure());
         let (edges, t_inst) = time_ms(|| session.weak_instance().num_edges());
         let (partition, t_ref) = time_ms(|| session.classify_all(Equivalence::Observational));
-        let oracle = strong::strong_partition(&ccs_fsp::saturate::saturate(&fsp).fsp);
+        let oracle =
+            strong::strong_partition_with(&ccs_fsp::saturate::saturate(&fsp).fsp, Algorithm::Naive);
         assert_eq!(
             partition.as_ref(),
             oracle.partition(),
@@ -475,7 +581,7 @@ fn e14_deterministic() {
     println!("\n== E14: deterministic case — Hopcroft minimization and UNION-FIND equivalence ==");
     println!(
         "{:>8} {:>14} {:>14} {:>14}",
-        "states", "hopcroft ms", "pt ms", "union-find ms"
+        "states", "hopcroft ms", "ks-both ms", "union-find ms"
     );
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -496,9 +602,9 @@ fn e14_deterministic() {
         let right = build(1);
         let (_, t_h) = time_ms(|| hopcroft::minimize(&left));
         let inst = left.to_instance();
-        let (_, t_pt) = time_ms(|| solve(&inst, Algorithm::PaigeTarjan));
+        let (_, t_ks) = time_ms(|| solve(&inst, Algorithm::KanellakisSmolkaBothHalves));
         let (_, t_uf) = time_ms(|| dfa_equiv::equivalent(&left, &right));
-        println!("{:>8} {:>14.2} {:>14.2} {:>14.2}", n, t_h, t_pt, t_uf);
+        println!("{:>8} {:>14.2} {:>14.2} {:>14.2}", n, t_h, t_ks, t_uf);
     }
 }
 
@@ -560,6 +666,11 @@ const TABLES: &[(&str, &str, fn())] = &[
         "delta",
         "incremental delta-refinement vs from-scratch rebuild",
         delta_incremental_maintenance,
+    ),
+    (
+        "solve",
+        "every solver on the instances production refines",
+        solve_production_instances,
     ),
     (
         "mem",

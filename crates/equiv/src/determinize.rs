@@ -52,7 +52,7 @@
 use std::collections::HashMap;
 
 use ccs_fsp::{ActionId, Fsp, StateId};
-use ccs_partition::{solve, Algorithm, Dfa, Partition, UnionFind};
+use ccs_partition::{hopcroft, Dfa, Partition, UnionFind};
 
 use crate::check::Equivalence;
 use crate::compact::{narrow, subset_fingerprint};
@@ -493,7 +493,7 @@ impl SubsetAutomaton {
 /// Classifies all `num_states` original states under `notion` by **one**
 /// determinization and **one** partition refinement: every start subset is
 /// interned, the arena is explored to completion, the notion's per-subset
-/// classes seed a multi-class [`Dfa`], and Paige–Tarjan refines it once.
+/// classes seed a multi-class [`Dfa`], and Hopcroft minimizes it once.
 /// The block of a state is the block of its start subset.
 pub fn determinized_partition(
     auto: &mut SubsetAutomaton,
@@ -507,9 +507,10 @@ pub fn determinized_partition(
 /// The one arena classification every determinized notion shares: interns
 /// the start subset of each of the `num_states` original states, explores
 /// the arena to completion, seeds a multi-class product [`Dfa`] with the
-/// per-subset `classes` (read off the explored arena), refines it once with
-/// Paige–Tarjan, and maps the result back — the block of a state is the
-/// block of its start subset.
+/// per-subset `classes` (read off the explored arena), minimizes it once with
+/// [`hopcroft::minimize`] (the product is deterministic and complete, the
+/// paper's Section 3 special case), and maps the result back — the block of
+/// a state is the block of its start subset.
 pub(crate) fn classify_starts(
     auto: &mut SubsetAutomaton,
     view: SaturatedView<'_>,
@@ -527,7 +528,7 @@ pub(crate) fn classify_starts(
         auto.transition_table(),
         &classes,
     );
-    let over_subsets = solve(&dfa.to_instance(), Algorithm::PaigeTarjan);
+    let over_subsets = hopcroft::minimize(&dfa);
     let assignment: Vec<usize> = starts
         .iter()
         .map(|&s| over_subsets.block_of(s as usize))

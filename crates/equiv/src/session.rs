@@ -62,16 +62,18 @@
 //! counts the refinements that actually executed — the counter the server's
 //! `stats` op (and the concurrency tests) observe.
 //!
-//! Every refinement runs Paige–Tarjan.  The other solvers of
-//! `ccs-partition` stay as independent references: tests run them over the
-//! session's own instances ([`EquivSession::strong_instance`],
-//! [`EquivSession::weak_instance`]) through [`ccs_partition::solve`].
+//! Every general refinement runs the Kanellakis–Smolka both-halves loop
+//! ([`refine_both_halves`]), and every product DFA is minimized with
+//! Hopcroft.  The naive solver of `ccs-partition` stays as
+//! the independent reference: tests run it over the session's own instances
+//! ([`EquivSession::strong_instance`], [`EquivSession::weak_instance`])
+//! through [`ccs_partition::solve`].
 //!
 //! # Amortized cost
 //!
 //! Per Theorem 4.1(a), one observational-equivalence query costs
-//! `O(n·(n+m))` for the closure, `O(n²·|Σ|)` saturated edges, and
-//! `O(m̂ log n)` for the refinement.  A session pays this once; each further
+//! `O(n·(n+m))` for the closure, `O(n²·|Σ|)` saturated edges, and one
+//! refinement of the weak instance.  A session pays this once; each further
 //! pair query against the same notion is a two-array lookup
 //! ([`Partition::same_block`]), so a batch of `m` queries costs
 //! `pipeline + O(m)` instead of `m × pipeline` — the
@@ -95,7 +97,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ccs_fsp::saturate::{tau_closure, weak_action_successors, TauClosure};
 use ccs_fsp::{Fsp, Label, StateId};
-use ccs_partition::{incremental, naive, solve, Algorithm, Instance, Partition};
+use ccs_partition::kanellakis_smolka::refine_both_halves;
+use ccs_partition::{incremental, naive, Instance, Partition};
 
 use crate::check::Equivalence;
 use crate::determinize::{self, DetNotion, PairCache, SubsetAutomaton};
@@ -280,7 +283,8 @@ impl EquivSession {
     }
 
     /// The partition of *all* states into `notion`-equivalence classes,
-    /// memoized per notion.  Refinement-backed notions run Paige–Tarjan.
+    /// memoized per notion.  Strong and observational equivalence run the
+    /// Kanellakis–Smolka both-halves refiner.
     ///
     /// Concurrent callers racing on the same notion are **coalesced**: one
     /// of them runs the computation, the rest block and share its result
@@ -323,8 +327,8 @@ impl EquivSession {
 
     fn compute_partition(&self, notion: Equivalence) -> Partition {
         match notion {
-            Equivalence::Strong => solve(self.strong_instance(), Algorithm::PaigeTarjan),
-            Equivalence::Observational => solve(self.weak_instance(), Algorithm::PaigeTarjan),
+            Equivalence::Strong => refine_both_halves(self.strong_instance()),
+            Equivalence::Observational => refine_both_halves(self.weak_instance()),
             // `≃ₖ` is level `k` of the naive rounds over the weak instance
             // (initial blocks by extension set, columns Σ plus ε), holding
             // one level at a time whatever `k` is.
@@ -836,6 +840,7 @@ mod tests {
     use super::*;
     use crate::{weak, Equivalence};
     use ccs_fsp::format;
+    use ccs_partition::Algorithm;
 
     fn table_ii_pair() -> (Fsp, Fsp) {
         // a.(b + c) vs a.b + a.c, restricted — the paper's running example.
@@ -866,7 +871,7 @@ mod tests {
         )
         .unwrap();
         let session = Arc::new(EquivSession::for_process(&f));
-        let oracle = weak::weak_partition(&f);
+        let oracle = weak::weak_partition_with(&f, Algorithm::Naive);
         let answers: Vec<Vec<bool>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
@@ -939,7 +944,10 @@ mod tests {
         let session = EquivSession::for_process(&f);
         session.saturated_view();
         let from_session = session.classify_all(Equivalence::Observational);
-        let legacy = crate::strong::strong_partition(&ccs_fsp::saturate::saturate(&f).fsp);
+        let legacy = crate::strong::strong_partition_with(
+            &ccs_fsp::saturate::saturate(&f).fsp,
+            Algorithm::Naive,
+        );
         assert_eq!(from_session.as_ref(), legacy.partition());
     }
 
@@ -980,7 +988,7 @@ mod tests {
         }
         let session = EquivSession::for_process(&f);
         let answers = session.equivalent_pairs(Equivalence::Observational, &pairs);
-        let wp = weak::weak_partition(&f);
+        let wp = weak::weak_partition_with(&f, Algorithm::Naive);
         for (&(a, b), &got) in pairs.iter().zip(&answers) {
             assert_eq!(got, wp.equivalent(a, b), "{a} vs {b}");
         }

@@ -4,8 +4,9 @@
 //! the process(es) form the ground set, the initial partition groups states
 //! with equal extension sets, and each transition label contributes one
 //! relation.  The coarsest consistent stable partition is exactly the
-//! partition into strong-bisimulation classes, computable in `O(m log n + n)`
-//! time with the Paige–Tarjan solver (Theorem 3.1).
+//! partition into strong-bisimulation classes (Theorem 3.1).  It is computed
+//! by the Kanellakis–Smolka both-halves splitter loop, `O(k·m·n)` worst case
+//! for `k` labels.
 //!
 //! The paper defines `~` for *observable* processes; the functions here
 //! accept any FSP and treat `τ` as an ordinary label (Milner's strong
@@ -13,7 +14,7 @@
 //! processes.
 
 use ccs_fsp::{ops, Fsp, Label, StateId};
-use ccs_partition::{solve, Algorithm, Instance, Partition};
+use ccs_partition::{kanellakis_smolka, solve, Algorithm, Instance, Partition};
 
 /// The partition of a process's states into strong-bisimulation classes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,11 +99,13 @@ pub fn strong_partition_with(fsp: &Fsp, algorithm: Algorithm) -> StrongPartition
     }
 }
 
-/// Computes the strong-bisimulation partition with the default (Paige–Tarjan)
-/// algorithm.
+/// Computes the strong-bisimulation partition with the production refiner,
+/// [`kanellakis_smolka::refine_both_halves`].
 #[must_use]
 pub fn strong_partition(fsp: &Fsp) -> StrongPartition {
-    strong_partition_with(fsp, Algorithm::PaigeTarjan)
+    StrongPartition {
+        partition: kanellakis_smolka::refine_both_halves(&to_instance(fsp)),
+    }
 }
 
 /// Tests whether two states of the same process are strongly equivalent.

@@ -11,12 +11,13 @@
 //!    partitioning (Lemma 3.1 + Theorem 3.1).
 //!
 //! The overall cost is `O(n·(n+m))` for the closure, `O(n²·|Σ|)` transitions
-//! in the saturated process, and `O(m̂ log n)` for the refinement, matching
-//! the paper's polynomial bound (their statement, `O(n²m log n + m n^{2.376})`,
-//! uses matrix products for the closure).
+//! in the saturated process, and `O(k·m̂·n)` worst case for the both-halves
+//! refinement over `k = |Σ| + 1` labels — polynomial, as the paper's bound
+//! requires (their statement, `O(n²m log n + m n^{2.376})`, uses matrix
+//! products for the closure).
 
 use ccs_fsp::{ops, Fsp, StateId};
-use ccs_partition::{solve, Algorithm, Partition};
+use ccs_partition::{kanellakis_smolka, solve, Algorithm, Partition};
 
 use crate::session::EquivSession;
 
@@ -69,11 +70,14 @@ pub fn weak_partition_with(fsp: &Fsp, algorithm: Algorithm) -> WeakPartition {
     }
 }
 
-/// Computes the observational-equivalence partition with the default
-/// (Paige–Tarjan) algorithm.
+/// Computes the observational-equivalence partition with the production
+/// refiner, [`kanellakis_smolka::refine_both_halves`].
 #[must_use]
 pub fn weak_partition(fsp: &Fsp) -> WeakPartition {
-    weak_partition_with(fsp, Algorithm::PaigeTarjan)
+    let session = EquivSession::for_process(fsp);
+    WeakPartition {
+        partition: kanellakis_smolka::refine_both_halves(session.weak_instance()),
+    }
 }
 
 /// Tests whether two states of the same process are observationally

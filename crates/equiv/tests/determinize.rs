@@ -50,7 +50,7 @@ fn determinized_classification_matches_oracle_on_families() {
 
 /// Every refinement solver, run over the product DFA of the shared subset
 /// automaton, yields the same (canonical) partition — and it is the
-/// oracle's, which the session's Paige–Tarjan classification also matches.
+/// oracle's, which the session's Hopcroft classification also matches.
 #[test]
 fn every_solver_classifies_the_blowup_family_identically() {
     let fsp = families::det_blowup(14, 3);

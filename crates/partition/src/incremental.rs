@@ -2,7 +2,7 @@
 //!
 //! The production traffic shape is a long-lived instance receiving streams
 //! of small edge batches with interleaved equivalence queries.  Re-solving
-//! from scratch pays the full `O(m log n)` per batch; this module keeps the
+//! from scratch pays a whole-graph refinement per batch; this module keeps the
 //! last stable partition alive and re-refines only what the batch touched.
 //!
 //! The whole engine is one stateless function, [`refine_delta`].  The
@@ -62,7 +62,8 @@
 //! the solution size instead of the graph size.  A whole-graph rebuild
 //! remains the safety net: batches touching more than a quarter of the
 //! ground set skip the incremental machinery entirely.  Both rebuilds run
-//! Paige–Tarjan.
+//! [`refine_both_halves`], so every path of this module ends in the same
+//! splitter loop, seeded either with every block or with the split ones.
 //!
 //! Every path is unconditionally exact — the tests (and the report's DELTA
 //! table) assert block-for-block equality with a from-scratch solve after
@@ -71,8 +72,8 @@
 use std::collections::HashMap;
 
 use crate::ids::{self, StateId};
-use crate::kanellakis_smolka::both_halves_fixpoint;
-use crate::{solve, Algorithm, Instance, LabeledGraph, Partition};
+use crate::kanellakis_smolka::{both_halves_fixpoint, refine_both_halves};
+use crate::{Instance, LabeledGraph, Partition};
 
 /// The touched-state-fraction rebuild threshold: a batch whose effective
 /// edits mention more than `REBUILD_THRESHOLD · n` distinct endpoints takes
@@ -124,13 +125,13 @@ impl std::fmt::Display for DeltaPath {
 /// let mut inst = Instance::new(8, 1);
 /// inst.add_edge(0, 0, 1);
 /// inst.add_edge(0, 2, 3);
-/// let prev = solve(&inst, Algorithm::PaigeTarjan);
+/// let prev = solve(&inst, Algorithm::KanellakisSmolkaBothHalves);
 /// // A mirrored edge is class-redundant: no rebuild, same partition.
 /// let (added, removed) = inst.apply_delta(&[(0, 0, 3)], &[]);
 /// let (next, path) = refine_delta(&inst, &prev, &added, &removed);
 /// assert_eq!(path, DeltaPath::Incremental);
 /// assert_eq!(next, prev);
-/// assert_eq!(next, solve(&inst, Algorithm::PaigeTarjan));
+/// assert_eq!(next, solve(&inst, Algorithm::Naive));
 /// ```
 ///
 /// # Panics
@@ -163,10 +164,7 @@ pub fn refine_delta(
     endpoints.dedup();
     #[allow(clippy::cast_precision_loss)]
     if endpoints.len() as f64 > REBUILD_THRESHOLD * n as f64 {
-        return (
-            solve(instance, Algorithm::PaigeTarjan),
-            DeltaPath::FullRebuild,
-        );
+        return (refine_both_halves(instance), DeltaPath::FullRebuild);
     }
     let books = UndoBooks::new(effective_additions, effective_removals);
     // Fast path: only delta *sources* have changed rows, so if every edited
@@ -412,7 +410,7 @@ fn quotient_solve(instance: &Instance, class_of: &[u32]) -> Partition {
     for (l, from, to) in edges {
         quotient.add_edge(l, from, to);
     }
-    let solved = solve(&quotient, Algorithm::PaigeTarjan);
+    let solved = refine_both_halves(&quotient);
     let lifted: Vec<usize> = class_of
         .iter()
         .map(|&c| solved.block_of(c as usize))
@@ -425,6 +423,7 @@ fn quotient_solve(instance: &Instance, class_of: &[u32]) -> Partition {
 #[allow(clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
+    use crate::{solve, Algorithm};
 
     /// Isolated padding elements appended to the tiny test instances, fenced
     /// into their own initial block: they add exactly one block and never
@@ -456,7 +455,7 @@ mod tests {
     ) -> (Partition, DeltaPath) {
         let (added, removed) = inst.apply_delta(additions, removals);
         let (next, path) = refine_delta(inst, previous, &added, &removed);
-        let oracle = solve(inst, Algorithm::PaigeTarjan);
+        let oracle = solve(inst, Algorithm::Naive);
         assert_eq!(next, oracle, "delta result != from-scratch oracle");
         assert!(inst.is_consistent_stable(&next));
         (next, path)
@@ -485,7 +484,7 @@ mod tests {
         for (f, t) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
             inst.add_edge(0, f, t);
         }
-        let prev = solve(&inst, Algorithm::PaigeTarjan);
+        let prev = solve(&inst, Algorithm::Naive);
         assert_eq!(prev.num_blocks(), 2, "the cycles plus the padding");
         let (next, path) = step(&mut inst, &prev, &[(0, 0, 3)], &[]);
         assert_eq!(path, DeltaPath::Incremental);
@@ -517,7 +516,7 @@ mod tests {
         inst.add_edge(0, 0, 1);
         inst.add_edge(0, 0, 2);
         inst.add_edge(0, 3, 1); // keeps 1, 2 in one (dead) class with 3's target
-        let prev = solve(&inst, Algorithm::PaigeTarjan);
+        let prev = solve(&inst, Algorithm::Naive);
         let (_, path) = step(&mut inst, &prev, &[], &[(0, 0, 2)]);
         assert_eq!(path, DeltaPath::Incremental);
     }
@@ -538,7 +537,7 @@ mod tests {
     fn noop_batches_leave_everything_untouched() {
         let mut inst = padded(3, 1);
         inst.add_edge(0, 0, 1);
-        let before = solve(&inst, Algorithm::PaigeTarjan);
+        let before = solve(&inst, Algorithm::Naive);
         let graph = inst.graph().clone();
         // Already present, already absent, and present-on-both-sides.
         for (additions, removals) in [
@@ -568,7 +567,7 @@ mod tests {
     fn edge_present_on_both_sides_survives() {
         let mut inst = padded(3, 1);
         inst.add_edge(0, 0, 1);
-        let prev = solve(&inst, Algorithm::PaigeTarjan);
+        let prev = solve(&inst, Algorithm::Naive);
         let (_, path) = step(&mut inst, &prev, &[(0, 0, 1), (0, 1, 2)], &[(0, 0, 1)]);
         assert_ne!(path, DeltaPath::FullRebuild);
         assert!(inst.has_edge(0, 0, 1));
@@ -613,7 +612,7 @@ mod tests {
                     (next() % n as u64) as usize,
                 );
             }
-            let mut partition = solve(&inst, Algorithm::PaigeTarjan);
+            let mut partition = solve(&inst, Algorithm::Naive);
             for _ in 0..12 {
                 let edge = (
                     (next() % labels as u64) as usize,

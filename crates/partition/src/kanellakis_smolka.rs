@@ -6,9 +6,11 @@
 //! process a splitter `S` and a relation `fₗ`, compute the preimage
 //! `pre_ℓ(S) = {x | fₗ(x) ∩ S ≠ ∅}` and split every block `D` into
 //! `D ∩ pre_ℓ(S)` and `D \ pre_ℓ(S)`.  Re-enqueueing both halves of every
-//! split gives the `O(n·m)` worst case — that version is kept here as
-//! [`refine_both_halves`], the measured baseline of the `partition_core`
-//! bench.
+//! split gives the `O(n·m)` worst case — that version is
+//! [`refine_both_halves`], the refiner production runs (the report's SOLVE
+//! table measures it on production's instances).  The delta repair of
+//! [`incremental`](crate::incremental) runs the same loop, seeded with only
+//! the blocks a batch split.
 //!
 //! # The smaller-half argument (Section 3 of the paper)
 //!
@@ -36,7 +38,7 @@
 //! `O(c)` successor scan, giving the paper's `O(c²·n·log n)` total (and a
 //! sound `O(c·m·log n)` in general).  Paige–Tarjan (1987) later removed the
 //! bounded-fanout assumption by replacing the successor scan with edge
-//! counters — see [`paige_tarjan`](crate::paige_tarjan).
+//! counters; this crate does not implement that variant.
 //!
 //! Both variants replace the former linear `touched_blocks.contains` scan
 //! per preimage edge with epoch-stamped markers: scratch arrays stamped with
@@ -48,15 +50,14 @@ use crate::graph::LabeledGraph;
 use crate::ids::{self, StateId};
 use crate::{Instance, Partition};
 
-/// The initial fine partition of [`refine`] and of
-/// [`paige_tarjan::refine`](crate::paige_tarjan::refine): the instance's
-/// initial partition refined by the per-label "has at least one successor"
+/// The initial fine partition of [`refine`]: the instance's initial
+/// partition refined by the per-label "has at least one successor"
 /// signature, so the seed is stable with respect to the single initial
 /// splitter group (the whole set).
 ///
 /// Returns the live `(block_of, blocks)` state the worklist loop then
-/// refines, in the compact 32-bit layout the loops keep hot.
-pub(crate) fn initial_fine_partition(
+/// refines, in the compact 32-bit layout the loop keeps hot.
+fn initial_fine_partition(
     instance: &Instance,
     graph: &LabeledGraph,
 ) -> (Vec<u32>, Vec<Vec<StateId>>) {
@@ -227,7 +228,9 @@ pub fn refine(instance: &Instance) -> Partition {
 /// case) and returns the coarsest consistent stable partition.
 ///
 /// Every split re-enqueues both halves.  This is the paper's baseline
-/// formulation, kept as a measured reference point for [`refine`]; the
+/// formulation and the refiner production runs: on the weak instances the
+/// equivalence session builds, it beats the smaller-half [`refine`], whose
+/// per-predecessor successor scan grows with the fan-out.  The
 /// `partition_core` bench and the `report` binary compare the two head to
 /// head.
 #[must_use]
@@ -346,6 +349,26 @@ mod tests {
         let inst = Instance::new(0, 2);
         assert_eq!(refine(&inst).num_elements(), 0);
         assert_eq!(refine_both_halves(&inst).num_elements(), 0);
+    }
+
+    #[test]
+    fn singleton_without_edges() {
+        let inst = Instance::new(1, 1);
+        assert_eq!(cross_check(&inst).num_blocks(), 1);
+    }
+
+    #[test]
+    fn counts_matter_for_stability_not_equivalence() {
+        // 0 has two edges into the cycle {2,3}, 1 has one: still equivalent,
+        // since only non-emptiness of fₗ(a) ∩ E_j matters.
+        let mut inst = Instance::new(4, 1);
+        inst.add_edge(0, 0, 2);
+        inst.add_edge(0, 0, 3);
+        inst.add_edge(0, 1, 2);
+        inst.add_edge(0, 2, 3);
+        inst.add_edge(0, 3, 2);
+        let p = cross_check(&inst);
+        assert!(p.same_block(0, 1));
     }
 
     #[test]

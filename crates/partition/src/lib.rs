@@ -30,30 +30,33 @@
 //! beyond the packed range are rejected at construction with an
 //! [`IdOverflow`] rather than truncated.
 //!
-//! Four solvers are provided for the generalized problem:
+//! Three solvers are provided for the generalized problem:
 //!
 //! * [`naive`] — the paper's *naive method* (Lemma 3.2): repeatedly split
 //!   blocks by successor-block signatures until stable; `O(n·m)`-ish with an
 //!   extra logarithmic factor from sorting.
 //! * [`kanellakis_smolka::refine_both_halves`] — the splitter-worklist
 //!   algorithm of Kanellakis & Smolka (1983) with both halves of every split
-//!   re-enqueued: `O(n·m)` worst case.
+//!   re-enqueued: `O(n·m)` worst case.  This is the production refiner:
+//!   the equivalence session, the delta rebuilds and the default free
+//!   functions of `ccs-equiv` all run it.  The report's SOLVE table times
+//!   it against the other two on the instances production builds.
 //! * [`kanellakis_smolka::refine`] — the paper's sharpened smaller-half
 //!   variant: only the smaller fragment of a pending splitter group is
 //!   extracted and scanned, giving `O(c²·n·log n)` for fan-out bounded by
 //!   `c` (the module docs spell out the Section 3 argument).
-//! * [`paige_tarjan`] — the Paige–Tarjan (1987) "process the smaller half"
-//!   algorithm with compound blocks and edge counts, `O(m log n + n)`
-//!   (Theorem 3.1), generalized to labelled relations.
 //!
 //! All of them produce the same (canonical) partition; the test-suites, the
 //! root property tests, and the `partition_refinement`/`partition_core`
-//! benches cross-check them against each other.
+//! benches cross-check them against each other, with [`naive`] as the
+//! independent reference.
 //!
 //! The crate also contains the two classical deterministic-case tools the
 //! paper mentions in Section 3: [`hopcroft`] DFA minimization
 //! (`O(k·n log n)`) and the [`dfa_equiv`] UNION-FIND equivalence test
-//! (`O(k·n·α(n))`), plus the underlying [`UnionFind`] structure.
+//! (`O(k·n·α(n))`), plus the underlying [`UnionFind`] structure.  The
+//! product DFAs of `ccs-equiv`'s determinization layer are minimized with
+//! [`hopcroft`].
 //!
 //! # Example
 //!
@@ -66,7 +69,7 @@
 //! inst.add_edge(0, 1, 0);
 //! inst.add_edge(0, 2, 3);
 //! inst.add_edge(0, 3, 2);
-//! let p = solve(&inst, Algorithm::PaigeTarjan);
+//! let p = solve(&inst, Algorithm::KanellakisSmolkaBothHalves);
 //! // Everything is equivalent: one block.
 //! assert_eq!(p.num_blocks(), 1);
 //! ```
@@ -91,7 +94,6 @@ pub mod incremental;
 mod instance;
 pub mod kanellakis_smolka;
 pub mod naive;
-pub mod paige_tarjan;
 mod partition;
 mod union_find;
 
@@ -110,22 +112,20 @@ pub enum Algorithm {
     /// The naive refinement method of Lemma 3.2.
     Naive,
     /// The Kanellakis–Smolka splitter-worklist algorithm with both halves of
-    /// every split re-enqueued (`O(n·m)` — the measured baseline).
+    /// every split re-enqueued (`O(n·m)` worst case).  The production
+    /// refiner, chosen by the report's SOLVE table.
     KanellakisSmolkaBothHalves,
     /// The Kanellakis–Smolka smaller-half algorithm (`O(c²·n·log n)` for
     /// fan-out bounded by `c`).
     KanellakisSmolka,
-    /// The Paige–Tarjan smaller-half algorithm (Theorem 3.1).
-    PaigeTarjan,
 }
 
 impl Algorithm {
     /// All available algorithms, useful for cross-checking loops.
-    pub const ALL: [Algorithm; 4] = [
+    pub const ALL: [Algorithm; 3] = [
         Algorithm::Naive,
         Algorithm::KanellakisSmolkaBothHalves,
         Algorithm::KanellakisSmolka,
-        Algorithm::PaigeTarjan,
     ];
 }
 
@@ -135,7 +135,6 @@ impl std::fmt::Display for Algorithm {
             Algorithm::Naive => f.write_str("naive"),
             Algorithm::KanellakisSmolkaBothHalves => f.write_str("ks-both-halves"),
             Algorithm::KanellakisSmolka => f.write_str("kanellakis-smolka"),
-            Algorithm::PaigeTarjan => f.write_str("paige-tarjan"),
         }
     }
 }
@@ -148,7 +147,6 @@ pub fn solve(instance: &Instance, algorithm: Algorithm) -> Partition {
         Algorithm::Naive => naive::refine(instance),
         Algorithm::KanellakisSmolkaBothHalves => kanellakis_smolka::refine_both_halves(instance),
         Algorithm::KanellakisSmolka => kanellakis_smolka::refine(instance),
-        Algorithm::PaigeTarjan => paige_tarjan::refine(instance),
     }
 }
 
@@ -164,8 +162,7 @@ mod tests {
             "ks-both-halves"
         );
         assert_eq!(Algorithm::KanellakisSmolka.to_string(), "kanellakis-smolka");
-        assert_eq!(Algorithm::PaigeTarjan.to_string(), "paige-tarjan");
-        assert_eq!(Algorithm::ALL.len(), 4);
+        assert_eq!(Algorithm::ALL.len(), 3);
     }
 
     #[test]

@@ -154,7 +154,7 @@ mod tests {
     fn cycle_collapses() {
         let inst = cycle(9);
         assert_eq!(inst.num_edges(), 9);
-        let p = solve(&inst, Algorithm::PaigeTarjan);
+        let p = solve(&inst, Algorithm::Naive);
         assert_eq!(p.num_blocks(), 1);
     }
 
@@ -199,7 +199,7 @@ mod tests {
         let inst = complete_deterministic(16, 2, 3);
         assert_eq!(inst.max_fanout(), 1);
         assert_eq!(inst.num_edges(), 32);
-        let p = solve(&inst, Algorithm::PaigeTarjan);
+        let p = solve(&inst, Algorithm::KanellakisSmolkaBothHalves);
         assert!(inst.is_consistent_stable(&p));
     }
 }

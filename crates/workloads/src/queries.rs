@@ -61,6 +61,7 @@ pub fn weak_query_batch(states: usize, pairs: usize, seed: u64) -> QueryBatch {
 mod tests {
     use super::*;
     use ccs_equiv::{weak, EquivSession, Equivalence};
+    use ccs_partition::Algorithm;
 
     #[test]
     fn batches_are_deterministic_and_sized() {
@@ -80,7 +81,7 @@ mod tests {
         let batch = weak_query_batch(20, 12, 9);
         let session = EquivSession::for_process(&batch.fsp);
         let batched = session.equivalent_pairs(Equivalence::Observational, &batch.pairs);
-        let wp = weak::weak_partition(&batch.fsp);
+        let wp = weak::weak_partition_with(&batch.fsp, Algorithm::Naive);
         for (&(p, q), &got) in batch.pairs.iter().zip(&batched) {
             assert_eq!(got, wp.equivalent(p, q));
         }

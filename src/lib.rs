@@ -6,7 +6,7 @@
 //! * [`fsp`] — finite state processes (Definition 2.1.1): model, builder,
 //!   combinators, τ-saturation.
 //! * [`partition`] — the generalized partitioning solvers of Section 3
-//!   (naive, Kanellakis–Smolka, Paige–Tarjan) plus the deterministic
+//!   (naive and the two Kanellakis–Smolka variants) plus the deterministic
 //!   specializations (Hopcroft, UNION-FIND).
 //! * [`equiv`] — the paper's equivalence notions: strong (≅), observational
 //!   (≈), k-observational (≈ₖ), failure (≡F), trace, and language.

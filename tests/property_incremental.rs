@@ -46,7 +46,7 @@ proptest! {
         for (l, from, to) in random.graph().edges() {
             inst.add_edge(l, from, to);
         }
-        let mut partition = solve(&inst, Algorithm::PaigeTarjan);
+        let mut partition = solve(&inst, Algorithm::Naive);
         for _ in 0..4 {
             let edits = 1 + (xorshift(&mut seed) % 3) as usize;
             let (mut additions, mut removals) = (Vec::new(), Vec::new());

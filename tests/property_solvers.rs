@@ -1,7 +1,7 @@
-//! Cross-crate property tests: on random `ccs_workloads` inputs, all four
+//! Cross-crate property tests: on random `ccs_workloads` inputs, all three
 //! generalized-partitioning solvers (naive, Kanellakis–Smolka in both the
-//! both-halves and smaller-half variants, Paige–Tarjan) produce identical
-//! partitions that pass the `is_consistent_stable` oracle, both on raw
+//! both-halves and smaller-half variants) produce identical partitions
+//! that pass the `is_consistent_stable` oracle, both on raw
 //! instances and through the Lemma 3.1 reduction from processes; on the
 //! deterministic special case Hopcroft agrees as well.  The naive method's
 //! round sequence (`naive::rounds`) is checked level by level, and
