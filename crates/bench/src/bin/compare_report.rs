@@ -1,8 +1,8 @@
 //! Diffs two `report` outputs for performance regressions on the tracked
 //! tables (E7 solver matrix, WP weak-pipeline table, the DET
 //! determinization table, the KOBS one-arena ≈ₖ-sweep table, the OTF
-//! protocol-corpus table, the DELTA incremental-maintenance table, and the
-//! MEM resident-bytes table).
+//! protocol-corpus table, the DELTA mutation-path table, and the MEM
+//! resident-bytes table).
 //!
 //! Usage:
 //!
@@ -51,8 +51,8 @@ enum Section {
 /// notion verdict otf-subsets full-subsets otf full` (subset counts ride
 /// the ratio check like MEM bytes do — an exploration blow-up fails like a
 /// slowdown — and the two timings close the row); DELTA rows are `family
-/// states edits/b i/q/f delta rebuild speedup` (timings in columns 4–5, the
-/// path-mix token and the derived speedup are skipped).
+/// states edits/b apply re-solve relayout%` (timings in columns 3–4, the
+/// derived relayout share is not compared).
 /// MEM rows come in two shapes: 5-token session rows `family states subsets
 /// session-bytes arena-bytes` and 4-token CSR rows `family states edges
 /// csr-bytes` — byte counts ride the same ratio check as timings, so a
@@ -146,17 +146,12 @@ fn parse_report(text: &str) -> Rows {
                     .collect();
                 rows.insert(key, timings);
             }
-            Section::Delta
-                if tokens.len() == 7
-                    && tokens[1..3].iter().all(|t| numeric(t))
-                    && !numeric(tokens[3])
-                    && tokens[4..].iter().all(|t| numeric(t)) =>
-            {
+            Section::Delta if tokens.len() == 6 && tokens[1..].iter().all(|t| numeric(t)) => {
                 let key = format!("delta/{}/{}/{}", tokens[0], tokens[1], tokens[2]);
-                let cols = ["delta", "rebuild"];
+                let cols = ["apply", "re-solve"];
                 let timings = cols
                     .iter()
-                    .zip(&tokens[4..6])
+                    .zip(&tokens[3..5])
                     .map(|(name, t)| ((*name).to_owned(), t.parse().expect("checked numeric")))
                     .collect();
                 rows.insert(key, timings);
@@ -318,10 +313,10 @@ host: cores=4
       family   product   union   notion  verdict  otf-subsets  full-subsets    otf ms   full ms
       abp-c2       864      47    trace       eq           18            95     12.00     40.00
 
-== DELTA: incremental partition maintenance — delta-refine vs from-scratch rebuild ==
-   (mutating_queries gadget stream; i/q/f = path mix; ...)
-  family   states  edits/b    i/q/f     delta ms   rebuild ms   speedup
- gadgets     1024        1    6/2/0         0.40         2.00       5.0
+== DELTA: mutation path — per-batch relayout + re-solve on the gadget stream ==
+   (mutating_queries gadget stream, the session's path per batch: ...)
+  family   states  edits/b   apply ms  re-solve ms  relayout %
+ gadgets     1024        1       0.40         2.00        16.7
 
 == MEM: resident bytes — honest capacity-based accounting per family ==
    (session = EquivSession::approx_resident_bytes after classify_all; ...)
@@ -341,7 +336,7 @@ host: cores=4
         assert_eq!(rows.len(), 9);
         assert_eq!(
             rows["delta/gadgets/1024/1"],
-            vec![("delta".to_owned(), 0.4), ("rebuild".to_owned(), 2.0)]
+            vec![("apply".to_owned(), 0.4), ("re-solve".to_owned(), 2.0)]
         );
         assert_eq!(
             rows["otf/abp-c2/trace"],

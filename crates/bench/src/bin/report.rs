@@ -21,7 +21,6 @@ use ccs_bench::{equivalent_pair, general_process, standard_process};
 use ccs_equiv::determinize::{DetNotion, SubsetAutomaton};
 use ccs_equiv::{failures, kobs, strong, weak, EquivSession, Equivalence};
 use ccs_expr::{construct, parse};
-use ccs_partition::incremental::{refine_delta, DeltaPath};
 use ccs_partition::kanellakis_smolka::refine_both_halves;
 use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, Dfa, Instance};
 use ccs_workloads::{families, mutating_queries, queries, random, RandomConfig};
@@ -89,7 +88,10 @@ fn e7_partition_algorithms() {
 
 fn wp_weak_pipeline() {
     println!("\n== WP: weak pipeline — per-query free functions vs EquivSession batched ==");
-    println!("   (m pair queries: m full saturate+refine pipelines vs one shared pipeline)");
+    println!(
+        "   (m pair queries: m full saturate+refine pipelines vs one shared pipeline; every\n    \
+         verdict is checked, untimed, against naive refinement of the saturate() process)"
+    );
     println!(
         "{:>8} {:>8} {:>8} {:>14} {:>12} {:>9}",
         "family", "states", "pairs", "per-query ms", "session ms", "speedup"
@@ -108,6 +110,17 @@ fn wp_weak_pipeline() {
             session.equivalent_pairs(Equivalence::Observational, &batch.pairs)
         });
         assert_eq!(per_query, batched, "session disagrees with per-query loop");
+        let oracle = strong::strong_partition_with(
+            &ccs_fsp::saturate::saturate(&batch.fsp).fsp,
+            Algorithm::Naive,
+        );
+        for (&(p, q), &verdict) in batch.pairs.iter().zip(&batched) {
+            assert_eq!(
+                verdict,
+                oracle.equivalent(p, q),
+                "WP n={n}: the session's ≈ diverged from the saturate() oracle on {p} vs {q}"
+            );
+        }
         println!(
             "{:>8} {:>8} {:>8} {:>14.2} {:>12.2} {:>9.1}",
             "general",
@@ -279,21 +292,17 @@ fn otf_protocol_corpus() {
     }
 }
 
-fn delta_incremental_maintenance() {
+fn delta_mutation_path() {
+    println!("\n== DELTA: mutation path — per-batch relayout + re-solve on the gadget stream ==");
     println!(
-        "\n== DELTA: incremental partition maintenance — delta-refine vs from-scratch rebuild =="
+        "   (mutating_queries gadget stream, the session's path per batch: apply =\n    \
+         Instance::apply_delta, one CSR relayout; re-solve = refine_both_halves on the\n    \
+         edited instance; relayout % = apply / (apply + re-solve); every batch asserts\n    \
+         block-for-block agreement with an untimed naive solve)"
     );
     println!(
-        "   (mutating_queries gadget stream: per batch, Instance::apply_delta + refine_delta —\n    \
-         the session's production path — repair the last stable partition (seeded splitter\n    \
-         worklist, certificate check, quotient fallback) vs re-solving the mutated instance\n    \
-         from scratch with the production refiner (ks-both); i/q/f = incremental /\n    \
-         quotient-rebuild / full-rebuild batch counts; every batch asserts block-for-block\n    \
-         agreement with an untimed naive solve)"
-    );
-    println!(
-        "{:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>9}",
-        "family", "states", "edits/b", "i/q/f", "delta ms", "rebuild ms", "speedup"
+        "{:>8} {:>8} {:>8} {:>10} {:>12} {:>11}",
+        "family", "states", "edits/b", "apply ms", "re-solve ms", "relayout %"
     );
     const BATCHES: usize = 8;
     // Throwaway pass so the first timed row does not absorb the cold-start
@@ -307,47 +316,29 @@ fn delta_incremental_maintenance() {
             let copies = n / mutating_queries::GADGET_STATES;
             let (mut inst, batches) =
                 mutating_queries::mutating_instance(copies, BATCHES, edits, 42);
-            let mut partition = refine_both_halves(&inst);
-            let mut paths = Vec::with_capacity(batches.len());
-            let (mut t_delta, mut t_rebuild) = (0.0f64, 0.0f64);
+            // Force the lazy CSR build so the first timed relayout does not
+            // get charged for it.
+            let _ = inst.num_edges();
+            let (mut t_apply, mut t_resolve) = (0.0f64, 0.0f64);
             for batch in &batches {
-                let ((next, path), t) = time_ms(|| {
-                    let (added, removed) = inst.apply_delta(&batch.additions, &batch.removals);
-                    refine_delta(&inst, &partition, &added, &removed)
-                });
-                t_delta += t;
-                let (rebuilt, t) = time_ms(|| refine_both_halves(&inst));
-                t_rebuild += t;
-                let oracle = solve(&inst, Algorithm::Naive);
+                let (_, t) = time_ms(|| inst.apply_delta(&batch.additions, &batch.removals));
+                t_apply += t;
+                let (resolved, t) = time_ms(|| refine_both_halves(&inst));
+                t_resolve += t;
                 assert_eq!(
-                    next, oracle,
-                    "delta-refined partition diverged from the from-scratch oracle"
+                    resolved,
+                    solve(&inst, Algorithm::Naive),
+                    "DELTA {n}/{edits}: the re-solved partition diverged from naive"
                 );
-                assert_eq!(rebuilt, oracle, "ks-both rebuild diverged from naive");
-                assert!(
-                    inst.is_consistent_stable(&next),
-                    "delta-refined partition is not a stable refinement"
-                );
-                partition = next;
-                paths.push(path);
             }
-            // The path mix is seed-deterministic, so it is part of the
-            // tracked snapshot, unlike the timings around it.
-            let count = |want: DeltaPath| paths.iter().filter(|&&p| p == want).count();
             println!(
-                "{:>8} {:>8} {:>8} {:>8} {:>12.2} {:>12.2} {:>9.1}",
+                "{:>8} {:>8} {:>8} {:>10.2} {:>12.2} {:>11.1}",
                 "gadgets",
                 n,
                 edits,
-                format!(
-                    "{}/{}/{}",
-                    count(DeltaPath::Incremental),
-                    count(DeltaPath::QuotientRebuild),
-                    count(DeltaPath::FullRebuild)
-                ),
-                t_delta,
-                t_rebuild,
-                t_rebuild / t_delta
+                t_apply,
+                t_resolve,
+                100.0 * t_apply / (t_apply + t_resolve)
             );
         }
     }
@@ -664,8 +655,8 @@ const TABLES: &[(&str, &str, fn())] = &[
     ),
     (
         "delta",
-        "incremental delta-refinement vs from-scratch rebuild",
-        delta_incremental_maintenance,
+        "mutation path: per-batch relayout and re-solve",
+        delta_mutation_path,
     ),
     (
         "solve",

@@ -98,7 +98,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use ccs_fsp::saturate::{tau_closure, weak_action_successors, TauClosure};
 use ccs_fsp::{Fsp, Label, StateId};
 use ccs_partition::kanellakis_smolka::refine_both_halves;
-use ccs_partition::{incremental, naive, Instance, Partition};
+use ccs_partition::{naive, Instance, Partition};
 
 use crate::check::Equivalence;
 use crate::determinize::{self, DetNotion, PairCache, SubsetAutomaton};
@@ -121,10 +121,10 @@ struct DetState {
 }
 
 /// What one [`EquivSession::apply_delta`] batch did to the session's
-/// caches — which artifacts were repaired in place and which were dropped
-/// for lazy rebuild.  Returned for diagnostics and asserted on by the
-/// mutation-path tests; callers that only want the mutated session can
-/// ignore it.
+/// caches — which artifacts were patched or re-solved in place and which
+/// were dropped for lazy rebuild.  Returned for diagnostics and asserted
+/// on by the mutation-path tests; callers that only want the mutated
+/// session can ignore it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionDeltaOutcome {
     /// Edges that were genuinely added (absent before the batch).
@@ -143,8 +143,11 @@ pub struct SessionDeltaOutcome {
     /// The subset arena (and its pair caches) had to be dropped because an
     /// interned subset could reach a changed weak row.
     pub arena_dropped: bool,
-    /// Cached partitions that were delta-refined to the new coarsest
-    /// solution instead of being recomputed from scratch.
+    /// Cached partitions re-solved inside the batch: each cached `Strong`
+    /// partition whose instance was patched, and the cached
+    /// `Observational` partition when the weak instance was patched, is
+    /// replaced by a fresh refinement of the edited instance, so the next
+    /// query finds it warm.
     pub partitions_delta_refined: usize,
 }
 
@@ -529,8 +532,7 @@ impl EquivSession {
 
     /// Applies an edge batch — removals first, then additions — to the
     /// owned process and repairs the session's caches instead of dropping
-    /// them wholesale.  This is the session face of the
-    /// [`ccs_partition::incremental`] delta path:
+    /// them wholesale:
     ///
     /// * **τ-free batches keep the τ-closure.**  `⇒ε` only depends on
     ///   τ-edges, so the cached [`TauClosure`] (and the
@@ -545,9 +547,9 @@ impl EquivSession {
     /// * **Dirty rows are patched, not rebuilt.**  Otherwise the weak
     ///   instance takes the row diff in one relayout — the view reads the
     ///   patched arrays — and cached `Strong`/`Observational`
-    ///   partitions are delta-refined through
-    ///   [`incremental::refine_delta`] — certificate-checked, so the result
-    ///   is the coarsest solution, never an approximation.
+    ///   partitions are re-solved on the patched instance with
+    ///   [`refine_both_halves`], the refiner every other solve runs, so the
+    ///   next query reads them from the memo.
     /// * **The subset arena survives when the edit cannot reach it.**  A
     ///   determinized verdict depends on the forward cone of its subsets;
     ///   the arena (and its pair caches) are kept iff no interned subset
@@ -556,7 +558,7 @@ impl EquivSession {
     ///   so every retained exploration replays identically.
     /// * **τ-touching batches drop the weak artifacts** for lazy rebuild
     ///   (the closure itself changed); cached strong partitions are still
-    ///   delta-refined, since Lemma 3.1 needs no saturation.
+    ///   re-solved in place, since Lemma 3.1 needs no saturation.
     ///
     /// Takes `&mut self` — mutate between query phases, not mid-query; the
     /// `ccs-server` registry unshares a session before calling this.
@@ -630,8 +632,6 @@ impl EquivSession {
             Valid,
             Updated,
         }
-        let mut weak_adds: Vec<(usize, usize, usize)> = Vec::new();
-        let mut weak_removes: Vec<(usize, usize, usize)> = Vec::new();
         let weak_fate = if !tau_free {
             self.closure = OnceLock::new();
             self.weak_instance = OnceLock::new();
@@ -673,7 +673,7 @@ impl EquivSession {
                     }
                 }
             }
-            (weak_adds, weak_removes) = inst.apply_delta(&adds, &removes);
+            let (weak_adds, weak_removes) = inst.apply_delta(&adds, &removes);
             let mut dirty: Vec<StateId> = weak_adds
                 .iter()
                 .chain(&weak_removes)
@@ -704,16 +704,16 @@ impl EquivSession {
             WeakFate::Valid
         };
 
-        // Partition memo: delta-refine what the instances can certify, keep
+        // Partition memo: re-solve what rests on a patched instance, keep
         // what the weak fate proves untouched, drop the rest for lazy
         // recomputation.  Cells are rebuilt rather than mutated — the memo
         // is single-flight per cell, and `&mut self` guarantees no reader.
         let map = self.partitions.get_mut().expect("partitions lock poisoned");
         let old_cells = std::mem::take(map);
         for (notion, cell) in old_cells {
-            let Some(prev) = cell.get().cloned() else {
+            if cell.get().is_none() {
                 continue; // never computed: drop the empty cell
-            };
+            }
             // Level 0 of `≈ₖ` is the extension-set partition — edge edits
             // cannot touch it — and a valid weak fate keeps every notion
             // but the strong one.
@@ -726,21 +726,16 @@ impl EquivSession {
                 map.insert(notion, cell);
                 continue;
             }
-            let repaired = match (notion, &weak_fate) {
-                (Equivalence::Strong, _) if strong_updated => {
-                    Some((&self.strong_instance, &strong_adds, &strong_removes))
-                }
-                (Equivalence::Observational, WeakFate::Updated) => {
-                    Some((&self.weak_instance, &weak_adds, &weak_removes))
-                }
+            let patched = match (notion, &weak_fate) {
+                (Equivalence::Strong, _) if strong_updated => Some(&self.strong_instance),
+                (Equivalence::Observational, WeakFate::Updated) => Some(&self.weak_instance),
                 _ => None,
             };
-            if let Some((inst, adds, removes)) = repaired {
+            if let Some(inst) = patched {
                 let inst = inst.get().expect("updated in place");
-                let (next, _path) = incremental::refine_delta(inst, &prev, adds, removes);
                 let fresh: PartitionCell = Arc::default();
                 fresh
-                    .set(Arc::new(next))
+                    .set(Arc::new(refine_both_halves(inst)))
                     .expect("freshly created partition cell");
                 map.insert(notion, fresh);
                 outcome.partitions_delta_refined += 1;
@@ -1188,7 +1183,8 @@ mod tests {
     #[test]
     fn apply_delta_matches_fresh_sessions_across_notions() {
         let f = format::parse(
-            "trans p tau q\ntrans q a r\ntrans s a t\ntrans u b v\ntrans w b x\naccept r t v x",
+            "trans p tau q\ntrans q a r\ntrans s a t\ntrans u b v\ntrans w b x\n\
+             trans g c h\ntrans m d n\ntrans i e j\naccept r t v x k",
         )
         .unwrap();
         let mut session = EquivSession::for_process(&f);
@@ -1197,13 +1193,37 @@ mod tests {
         session.classify_all(Equivalence::Observational);
         session.classify_all(Equivalence::Language);
         type EdgeSpec<'a> = Vec<(&'a str, Option<&'a str>, &'a str)>;
-        let batches: [(EdgeSpec, EdgeSpec); 4] = [
-            (vec![("w", Some("b"), "v")], vec![]),
-            (vec![("p", Some("a"), "r")], vec![("u", Some("b"), "v")]),
-            (vec![("s", None, "p")], vec![]), // τ-touching batch
-            (vec![], vec![("s", None, "p"), ("w", Some("b"), "v")]),
+        // Per batch: additions, removals, and state pairs whose strong
+        // verdict after the batch is spelled out (true = same class).
+        type Verdicts<'a> = Vec<(&'a str, &'a str, bool)>;
+        let batches: [(EdgeSpec, EdgeSpec, Verdicts); 7] = [
+            (vec![("w", Some("b"), "v")], vec![], vec![]),
+            (
+                vec![("p", Some("a"), "r")],
+                vec![("u", Some("b"), "v")],
+                vec![],
+            ),
+            (vec![("s", None, "p")], vec![], vec![]), // τ-touching batch
+            (
+                vec![],
+                vec![("s", None, "p"), ("w", Some("b"), "v")],
+                vec![],
+            ),
+            // A pure addition coarsens: `h c g` beside `g c h` makes the
+            // two a c-cycle, so {g},{h} becomes {g,h}.  No split of the
+            // old partition reaches that.
+            (vec![("h", Some("c"), "g")], vec![], vec![("g", "h", true)]),
+            // Removing a state's only edge coarsens: m joins its dead target.
+            (vec![], vec![("m", Some("d"), "n")], vec![("m", "n", true)]),
+            // A coarsening removal must still respect acceptance: i joins
+            // j, and both stay apart from the dead accepting k.
+            (
+                vec![],
+                vec![("i", Some("e"), "j")],
+                vec![("i", "j", true), ("i", "k", false)],
+            ),
         ];
-        for (adds, removes) in batches {
+        for (adds, removes, verdicts) in batches {
             let resolve = |specs: &[(&str, Option<&str>, &str)]| {
                 specs
                     .iter()
@@ -1212,6 +1232,15 @@ mod tests {
             };
             let (adds, removes) = (resolve(&adds), resolve(&removes));
             session.apply_delta(&adds, &removes);
+            let strong = session.classify_all(Equivalence::Strong);
+            for (a, b, same) in verdicts {
+                let state = |name| session.fsp().state_by_name(name).expect("known state");
+                assert_eq!(
+                    strong.same_block(state(a).index(), state(b).index()),
+                    same,
+                    "{a} vs {b}"
+                );
+            }
             assert_matches_fresh(&session);
         }
     }
@@ -1270,8 +1299,8 @@ mod tests {
         assert!(outcome.tau_touched);
         assert_eq!(outcome.partitions_delta_refined, 1, "the strong partition");
 
-        // Strong answers from the delta-refined cell — no new refinement —
-        // while the weak side recomputes its closure lazily.
+        // Strong answers from the cell the batch re-solved — no new
+        // refinement — while the weak side recomputes its closure lazily.
         session.classify_all(Equivalence::Strong);
         assert_eq!(session.refinements_run(), refinements);
         assert_matches_fresh(&session);

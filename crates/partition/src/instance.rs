@@ -162,9 +162,10 @@ impl Instance {
     /// The whole batch costs one [`LabeledGraph::edited_with`] relayout of
     /// the current graph, however many edges it carries (none if nothing is
     /// effective); edges [`Instance::add_edge`] left pending are merged
-    /// first, as any query would.  The returned edits are exactly what
-    /// [`incremental::refine_delta`](crate::incremental::refine_delta)
-    /// takes alongside the pre-batch partition.
+    /// first, as any query would.  The coarsest partition of the edited
+    /// instance is then a fresh solve: the equivalence session re-runs
+    /// [`refine_both_halves`](crate::kanellakis_smolka::refine_both_halves)
+    /// on each instance a batch patched.
     ///
     /// # Panics
     ///

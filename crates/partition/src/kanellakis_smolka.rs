@@ -8,9 +8,7 @@
 //! `D ∩ pre_ℓ(S)` and `D \ pre_ℓ(S)`.  Re-enqueueing both halves of every
 //! split gives the `O(n·m)` worst case — that version is
 //! [`refine_both_halves`], the refiner production runs (the report's SOLVE
-//! table measures it on production's instances).  The delta repair of
-//! [`incremental`](crate::incremental) runs the same loop, seeded with only
-//! the blocks a batch split.
+//! table measures it on production's instances).
 //!
 //! # The smaller-half argument (Section 3 of the paper)
 //!
@@ -235,36 +233,11 @@ pub fn refine(instance: &Instance) -> Partition {
 /// head.
 #[must_use]
 pub fn refine_both_halves(instance: &Instance) -> Partition {
-    let (block_of, blocks) = Partition::from_raw_assignment(instance.initial_blocks());
-    let every_block = 0..ids::narrow(blocks.len());
-    let block_of = both_halves_fixpoint(instance.graph(), block_of, blocks, every_block);
-    Partition::from_assignment(&block_of)
-}
-
-/// The both-halves splitter loop: pops a splitter block, splits every block
-/// its per-label preimage cuts, and re-enqueues both halves of each split,
-/// until the worklist is empty.  Returns the final `block_of`.
-///
-/// The result is the coarsest stable refinement of the given partition as
-/// long as the partition is already stable with respect to every block
-/// missing from `seed` — [`refine_both_halves`] seeds every block, and the
-/// [`incremental`](crate::incremental) repair seeds only the blocks a batch
-/// split.
-pub(crate) fn both_halves_fixpoint(
-    graph: &LabeledGraph,
-    mut block_of: Vec<u32>,
-    mut blocks: Vec<Vec<StateId>>,
-    seed: impl IntoIterator<Item = u32>,
-) -> Vec<u32> {
+    let graph = instance.graph();
+    let (mut block_of, mut blocks) = Partition::from_raw_assignment(instance.initial_blocks());
     // Worklist of splitter block ids (content is read at pop time).
-    let mut worklist: Vec<u32> = Vec::new();
-    let mut on_worklist = vec![false; blocks.len()];
-    for id in seed {
-        if !on_worklist[id as usize] {
-            on_worklist[id as usize] = true;
-            worklist.push(id);
-        }
-    }
+    let mut worklist: Vec<u32> = (0..ids::narrow(blocks.len())).collect();
+    let mut on_worklist = vec![true; blocks.len()];
 
     // Epoch-stamped scratch: preimage membership per element, touched marker
     // per block (one epoch per (splitter, label) round).
@@ -323,7 +296,7 @@ pub(crate) fn both_halves_fixpoint(
         }
     }
 
-    block_of
+    Partition::from_assignment(&block_of)
 }
 
 #[cfg(test)]

@@ -38,8 +38,8 @@
 //! * [`kanellakis_smolka::refine_both_halves`] — the splitter-worklist
 //!   algorithm of Kanellakis & Smolka (1983) with both halves of every split
 //!   re-enqueued: `O(n·m)` worst case.  This is the production refiner:
-//!   the equivalence session, the delta rebuilds and the default free
-//!   functions of `ccs-equiv` all run it.  The report's SOLVE table times
+//!   the equivalence session (including its re-solves after a mutation)
+//!   and the default free functions of `ccs-equiv` all run it.  The report's SOLVE table times
 //!   it against the other two on the instances production builds.
 //! * [`kanellakis_smolka::refine`] — the paper's sharpened smaller-half
 //!   variant: only the smaller fragment of a pending splitter group is
@@ -90,7 +90,6 @@ pub mod dfa_equiv;
 pub mod graph;
 pub mod hopcroft;
 pub mod ids;
-pub mod incremental;
 mod instance;
 pub mod kanellakis_smolka;
 pub mod naive;
@@ -100,7 +99,6 @@ mod union_find;
 pub use dfa::Dfa;
 pub use graph::{GraphBuilder, LabeledGraph};
 pub use ids::{BlockId, IdOverflow, LabelId, StateId};
-pub use incremental::DeltaPath;
 pub use instance::{EdgeBatch, Instance};
 pub use partition::Partition;
 pub use union_find::UnionFind;

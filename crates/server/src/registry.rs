@@ -164,8 +164,10 @@ impl Registry {
     /// Applies an edge delta to the named session **in place** — the
     /// `mutate` op.  The session keeps its handle and, via
     /// [`EquivSession::apply_delta`], every cache the delta does not
-    /// invalidate (τ-closure, patched saturated view, delta-refined
-    /// partitions, untouched subset arena).
+    /// invalidate (τ-closure, patched saturated view, untouched subset
+    /// arena); the strong and observational partitions resting on a
+    /// patched instance are re-solved inside the call, so the next pair
+    /// query reads them warm.
     ///
     /// `apply_delta` needs exclusive ownership; if connection threads still
     /// hold clones of the `Arc`, a detached session is rebuilt over the

@@ -21,8 +21,8 @@
 //!   gadget copies with a seed-deterministic toggle sequence of
 //!   class-redundant and refining edits, at both the process level (for
 //!   `EquivSession::apply_delta` and the server's `mutate` op) and the
-//!   partition-kernel level (for `Instance::apply_delta` +
-//!   `incremental::refine_delta` and the DELTA report table);
+//!   partition-kernel level (for `Instance::apply_delta` and the re-solve
+//!   the DELTA report table times after it);
 //! * [`protocols`] — a documented distributed-protocols corpus
 //!   (alternating-bit, ring leader election, two-phase commit, plus broken
 //!   variants) with parallel components, hiding sets and observable

@@ -1,21 +1,20 @@
 //! Mutating-query workloads: a base model, a deterministic edit stream, and
-//! a query mix — the input shape of the incremental maintenance path
-//! (`ccs_partition::incremental`, `EquivSession::apply_delta`, the server's
+//! a query mix — the input shape of the mutation path
+//! (`Instance::apply_delta`, `EquivSession::apply_delta`, the server's
 //! `mutate` op) and of the report's DELTA table.
 //!
-//! The base model is a union of disjoint copies of one small gadget, which
-//! keeps the interesting structure *local*: an edit batch touches a couple
-//! of copies, so the delta path seeds a handful of splitter blocks while a
-//! from-scratch rebuild still has to refine the whole union.  The edit
+//! The base model is a union of disjoint copies of one small gadget, so an
+//! edit batch touches a couple of copies of a large union: the relayout
+//! and the re-solve that follow it run over the whole instance.  The edit
 //! stream is a seed-deterministic toggle sequence with two flavours per
 //! copy:
 //!
 //! * a **class-redundant** toggle — an edge into a block the source already
-//!   reaches under the same label, so the coarsest partition is unchanged
-//!   and the certificate check confirms the seeded fixpoint directly; and
+//!   reaches under the same label, so the coarsest partition is unchanged;
+//!   and
 //! * a **refining** toggle (a back edge that makes one copy distinguishable
-//!   from its siblings) — the splits are real, and undoing it coarsens, so
-//!   the quotient fallback gets exercised too.
+//!   from its siblings) — the splits are real, and undoing it coarsens the
+//!   partition again.
 //!
 //! Every generator is pure in its arguments; two calls with the same seed
 //! produce identical workloads, batch for batch.
@@ -151,9 +150,8 @@ pub fn mutating_workload(
 /// generalized-partitioning [`Instance`] (labels `0 = a`, `1 = b`,
 /// accepting copies split off by the initial partition) plus the edit
 /// stream as `(label, from, to)` index triples — the direct input of
-/// [`Instance::apply_delta`] and
-/// [`refine_delta`](ccs_partition::incremental::refine_delta), as the DELTA
-/// report table drives them.
+/// [`Instance::apply_delta`], as the DELTA report table drives it before
+/// each re-solve.
 /// Deterministic in `seed`.
 ///
 /// # Panics
@@ -222,7 +220,7 @@ fn edit_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_partition::incremental::{refine_delta, DeltaPath};
+    use ccs_partition::kanellakis_smolka::refine_both_halves;
     use ccs_partition::{solve, Algorithm};
 
     #[test]
@@ -238,22 +236,23 @@ mod tests {
         assert!(c.batches != a.batches || c.queries != a.queries);
     }
 
+    /// Each batch goes the way the session takes it — one relayout, then
+    /// a re-solve with the production refiner — and must land on the naive
+    /// solver's blocks.
     #[test]
     fn instance_stream_drives_the_delta_refiner_to_oracle_agreement() {
         let (mut inst, batches) = mutating_instance(12, 10, 2, 7);
-        let mut partition = solve(&inst, Algorithm::Naive);
-        let mut paths = Vec::new();
+        let mut blocks = vec![refine_both_halves(&inst).num_blocks()];
         for batch in &batches {
-            let (added, removed) = inst.apply_delta(&batch.additions, &batch.removals);
-            let (next, path) = refine_delta(&inst, &partition, &added, &removed);
-            assert_eq!(next, solve(&inst, Algorithm::Naive));
-            partition = next;
-            paths.push(path);
+            inst.apply_delta(&batch.additions, &batch.removals);
+            let resolved = refine_both_halves(&inst);
+            assert_eq!(resolved, solve(&inst, Algorithm::Naive));
+            blocks.push(resolved.num_blocks());
         }
-        assert_eq!(paths.len(), batches.len());
-        // Two edits touch at most four of the 48 states: every batch takes
-        // the delta path, never the whole-graph rebuild.
-        assert!(!paths.contains(&DeltaPath::FullRebuild));
+        assert!(
+            blocks.windows(2).any(|w| w[1] > w[0]),
+            "no batch split: {blocks:?}"
+        );
     }
 
     #[test]

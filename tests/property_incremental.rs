@@ -1,14 +1,13 @@
-//! Cross-crate property tests for incremental partition maintenance: random
-//! edit streams drive the kernel delta path ([`Instance::apply_delta`] then
-//! [`refine_delta`]) and the session-level `apply_delta` path, asserting
-//! after every step that the maintained state is block-for-block identical
-//! to a from-scratch rebuild — partitions against every solver of
-//! [`Algorithm::ALL`], verdicts via `classify_all` against a fresh
-//! [`EquivSession`].
+//! Cross-crate property tests for the mutation path: random edit streams
+//! drive the kernel relayout ([`Instance::apply_delta`]) and the
+//! session-level `apply_delta` path, asserting after every step that the
+//! edited state is block-for-block identical to a from-scratch build —
+//! every solver of [`Algorithm::ALL`] on the edited instance against the
+//! same solver on an instance built fresh from its edges, and verdicts via
+//! `classify_all` against a fresh [`EquivSession`].
 
 use ccs_equiv::{EquivSession, Equivalence};
 use ccs_fsp::{Label, StateId};
-use ccs_partition::incremental::refine_delta;
 use ccs_partition::{solve, Algorithm, Instance};
 use ccs_workloads::{instances, mutating_queries, random, RandomConfig};
 use proptest::prelude::*;
@@ -25,8 +24,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random single-edit-to-small-batch streams over random instances:
-    /// the delta-refined partition stays equal to a from-scratch solve of
-    /// the mutated instance by every solver after every batch.
+    /// after every batch, each solver on the relaid-out instance returns
+    /// the partition it returns on an instance built fresh from the edited
+    /// edge list (same initial blocks), and that partition is stable.
     #[test]
     fn every_engine_tracks_the_from_scratch_oracle(
         n in 2usize..24,
@@ -34,19 +34,10 @@ proptest! {
         density in 0usize..4,
         mut seed in 1u64..1_000_000,
     ) {
-        // Isolated padding elements in their own initial block keep a batch
-        // of up to three edits under the quarter-of-the-ground-set rebuild
-        // threshold, so the incremental and quotient paths run.
-        const PAD: usize = 24;
-        let random = instances::random(n, labels, density * n, seed);
-        let mut inst = Instance::new(n + PAD, labels);
-        for x in n..n + PAD {
-            inst.set_initial_block(x, 1);
+        let mut inst = instances::random(n, labels, density * n, seed);
+        for x in 0..n {
+            inst.set_initial_block(x, x % 2);
         }
-        for (l, from, to) in random.graph().edges() {
-            inst.add_edge(l, from, to);
-        }
-        let mut partition = solve(&inst, Algorithm::Naive);
         for _ in 0..4 {
             let edits = 1 + (xorshift(&mut seed) % 3) as usize;
             let (mut additions, mut removals) = (Vec::new(), Vec::new());
@@ -62,19 +53,24 @@ proptest! {
                     additions.push(edge);
                 }
             }
-            let (added, removed) = inst.apply_delta(&additions, &removals);
-            let (next, path) = refine_delta(&inst, &partition, &added, &removed);
-            prop_assert!(inst.is_consistent_stable(&next));
+            inst.apply_delta(&additions, &removals);
+            let mut fresh = Instance::new(n, labels);
+            for (x, &block) in inst.initial_blocks().iter().enumerate() {
+                fresh.set_initial_block(x, block as usize);
+            }
+            for (l, from, to) in inst.graph().edges() {
+                fresh.add_edge(l, from, to);
+            }
             for alg in Algorithm::ALL {
+                let edited = solve(&inst, alg);
+                prop_assert!(inst.is_consistent_stable(&edited));
                 prop_assert_eq!(
-                    &next,
-                    &solve(&inst, alg),
-                    "{} path diverged from the {} from-scratch oracle",
-                    path,
+                    &edited,
+                    &solve(&fresh, alg),
+                    "{} on the edited instance diverged from a fresh build",
                     alg
                 );
             }
-            partition = next;
         }
     }
 }
