@@ -21,9 +21,9 @@ use ccs_bench::{equivalent_pair, general_process, standard_process};
 use ccs_equiv::determinize::{DetNotion, SubsetAutomaton};
 use ccs_equiv::{failures, kobs, strong, weak, EquivSession, Equivalence};
 use ccs_expr::{construct, parse};
-use ccs_partition::kanellakis_smolka::refine_both_halves;
-use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, Dfa, Instance};
-use ccs_workloads::{families, mutating_queries, queries, random, RandomConfig};
+use ccs_partition::kanellakis_smolka::{self, refine_both_halves};
+use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, Dfa, Instance, Partition};
+use ccs_workloads::{families, instances, mutating_queries, queries, random, RandomConfig};
 
 fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -42,8 +42,13 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (value, best)
 }
 
-/// A named generator of scaling instances for the E7 solver matrix.
-type InstanceFamily = (&'static str, fn(usize) -> ccs_partition::Instance);
+/// A named generator of scaling instances for the E7 and SCALE tables.
+type InstanceFamily = (&'static str, fn(usize) -> Instance);
+
+/// A complete binary tree with roughly `n` nodes.
+fn tree(n: usize) -> Instance {
+    instances::binary_tree((n.ilog2() as usize).saturating_sub(1))
+}
 
 fn e7_partition_algorithms() {
     println!("\n== E7: generalized partitioning on the CSR core — solver matrix per family ==");
@@ -54,13 +59,9 @@ fn e7_partition_algorithms() {
     );
     let families: [InstanceFamily; 4] = [
         ("random", |n| strong::to_instance(&standard_process(n, 42))),
-        ("chain", ccs_workloads::instances::chain),
-        ("cycle", ccs_workloads::instances::cycle),
-        ("tree", |n| {
-            // Complete binary tree with roughly n nodes.
-            let depth = n.ilog2() as usize;
-            ccs_workloads::instances::binary_tree(depth.saturating_sub(1))
-        }),
+        ("chain", instances::chain),
+        ("cycle", instances::cycle),
+        ("tree", tree),
     ];
     for (family, make) in families {
         for &n in &[64usize, 128, 256, 512, 1024] {
@@ -389,7 +390,8 @@ fn solve_production_instances() {
     println!(
         "   (rnd = branching-shaped random_fsp, 2 transitions per state, τ ratio 0.3: the\n    \
          session's strong (-s) and weak (-w) instances; dfa = the language product DFA of\n    \
-         det_blowup(1024, 10), (1024, 12) and (1536, 11); live = the 4096-state live-edit\n    \
+         det_blowup(1024, 10), (1024, 12) and (1536, 11); tau-w = the weak instance of\n    \
+         tau_chain(n), dense and collapsing to 2 blocks; live = the 4096-state live-edit\n    \
          gadget session; naive runs once, the rest best of 3; ks-both is the production\n    \
          general refiner, hopcroft the production DFA minimizer ('-' off DFAs); every row\n    \
          asserts each solver's blocks equal naive's)"
@@ -410,6 +412,10 @@ fn solve_production_instances() {
         let session = EquivSession::for_process(&fsp);
         solve_row("rnd-s", session.strong_instance(), None);
         solve_row("rnd-w", session.weak_instance(), None);
+    }
+    for &n in &[512usize, 1024, 2048] {
+        let session = EquivSession::for_process(&families::tau_chain(n));
+        solve_row("tau-w", session.weak_instance(), None);
     }
     for &(n, window) in &[(1024usize, 10usize), (1024, 12), (1536, 11)] {
         let fsp = families::det_blowup(n, window);
@@ -434,6 +440,94 @@ fn solve_production_instances() {
     let session = EquivSession::for_process(&live.fsp);
     solve_row("live-s", session.strong_instance(), None);
     solve_row("live-w", session.weak_instance(), None);
+}
+
+/// The largest `t(65536) / t(4096)` a SCALE row may read: 16× the size,
+/// where linear growth reads ~16 and quadratic growth ~256.
+const SCALE_MAX_GROWTH: f64 = 40.0;
+
+/// A chain DFA for Hopcroft: `n` states in a line whose last state alone
+/// accepts, then a rejecting sink, so all `n + 1` states are distinct.
+fn chain_dfa(n: usize) -> Dfa {
+    let mut dfa = Dfa::new(n + 1, 1, 0);
+    for s in 0..n {
+        dfa.set_transition(s, 0, s + 1);
+    }
+    dfa.set_transition(n, 0, n);
+    dfa.set_accepting(n - 1, true);
+    dfa
+}
+
+/// Times `run` best of 3 on every input, asserts the first answer equals
+/// `reference`, prints the SCALE row and asserts its growth bound.
+fn scale_row<I>(
+    family: &str,
+    solver: &str,
+    inputs: &[I],
+    reference: &Partition,
+    run: impl Fn(&I) -> Partition,
+) {
+    let runs: Vec<(Partition, f64)> = inputs.iter().map(|i| best_of(3, || run(i))).collect();
+    assert_eq!(
+        &runs[0].0, reference,
+        "SCALE {family}: {solver} diverged from naive at the smallest size"
+    );
+    let times: Vec<f64> = runs.iter().map(|&(_, t)| t).collect();
+    let growth = times[times.len() - 1] / times[0];
+    print!("{family:>9} {solver:>9}");
+    for t in &times {
+        print!(" {t:>9.2}");
+    }
+    println!(" {growth:>7.1}");
+    assert!(
+        growth <= SCALE_MAX_GROWTH,
+        "SCALE {family}/{solver}: t(65536)/t(4096) = {growth:.1} exceeds {SCALE_MAX_GROWTH}"
+    );
+}
+
+fn scale_solver_growth() {
+    println!("\n== SCALE: splitter refiners from 4096 to 65536 states ==");
+    println!(
+        "   (ms, best of 3; chain, cycle and tree = ccs_workloads::instances (tree: 2^k - 1\n    \
+         nodes); dfa-chain = n chain states plus a sink, minimized by Hopcroft; each\n    \
+         solver's blocks equal naive's at 4096; growth = t(65536)/t(4096), asserted\n    \
+         <= {SCALE_MAX_GROWTH}: linear reads ~16, quadratic ~256)"
+    );
+    const SIZES: [usize; 5] = [4096, 8192, 16384, 32768, 65536];
+    print!("{:>9} {:>9}", "family", "solver");
+    for n in SIZES {
+        print!(" {n:>9}");
+    }
+    println!(" {:>7}", "growth");
+    let families: [InstanceFamily; 3] = [
+        ("chain", instances::chain),
+        ("cycle", instances::cycle),
+        ("tree", tree),
+    ];
+    for (family, make) in families {
+        let insts: Vec<Instance> = SIZES.iter().map(|&n| make(n)).collect();
+        for inst in &insts {
+            let _ = inst.num_edges();
+        }
+        let reference = solve(&insts[0], Algorithm::Naive);
+        scale_row(family, "ks-both", &insts, &reference, refine_both_halves);
+        scale_row(
+            family,
+            "ks-small",
+            &insts,
+            &reference,
+            kanellakis_smolka::refine,
+        );
+    }
+    let dfas: Vec<Dfa> = SIZES.iter().map(|&n| chain_dfa(n)).collect();
+    let reference = solve(&dfas[0].to_instance(), Algorithm::Naive);
+    scale_row(
+        "dfa-chain",
+        "hopcroft",
+        &dfas,
+        &reference,
+        hopcroft::minimize,
+    );
 }
 
 fn mem_resident_footprint() {
@@ -662,6 +756,11 @@ const TABLES: &[(&str, &str, fn())] = &[
         "solve",
         "every solver on the instances production refines",
         solve_production_instances,
+    ),
+    (
+        "scale",
+        "splitter refiners from 4096 to 65536 states: growth bound",
+        scale_solver_growth,
     ),
     (
         "mem",

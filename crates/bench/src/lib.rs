@@ -15,10 +15,6 @@ use ccs_workloads::{random, RandomConfig};
 /// Standard process sizes (numbers of states) used by the scaling benches.
 pub const SCALING_SIZES: [usize; 4] = [32, 64, 128, 256];
 
-/// Larger sizes used by the wall-clock `report` binary, where per-point cost
-/// matters less than a readable growth curve.
-pub const REPORT_SIZES: [usize; 5] = [64, 128, 256, 512, 1024];
-
 /// A random restricted observable process of the given size, with the
 /// default density used across all experiments (≈2.5 transitions per state,
 /// two actions).

@@ -6,6 +6,7 @@ use std::collections::VecDeque;
 
 use crate::graph::LabeledGraph;
 use crate::ids::{self, StateId};
+use crate::refinable::Refinable;
 use crate::{Dfa, Partition};
 
 /// Computes the coarsest partition of a complete DFA's states that is
@@ -13,87 +14,47 @@ use crate::{Dfa, Partition};
 /// function — i.e. the Myhill–Nerode equivalence of its states.
 #[must_use]
 pub fn minimize(dfa: &Dfa) -> Partition {
-    let n = dfa.num_states();
     let k = dfa.num_labels();
-    if n == 0 {
-        return Partition::from_assignment::<usize>(&[]);
-    }
-
     // Flat CSR predecessor lists per label.  Each successor row is the one
     // DFA step, so the rows lay out in place with no sort.
-    let graph = LabeledGraph::from_rows(n, k, |l, s, out| {
+    let graph = LabeledGraph::from_rows(dfa.num_states(), k, |l, s, out| {
         out.push(StateId::from_index(dfa.step(s, l)));
     });
 
-    // Initial partition by output class — compact u32 block ids over packed
-    // state ids, straight from the DFA's own compact class array.
-    let (mut block_of, mut blocks) = Partition::from_raw_assignment(dfa.classes());
+    // Initial partition by output class, straight from the DFA's own
+    // compact class array.
+    let mut p = Refinable::new(dfa.classes());
 
     // Worklist of (block id, label) pairs.  Starting with every pair is
     // simpler than Hopcroft's "all but the largest" and has the same
     // asymptotic complexity up to a constant.
-    let mut worklist: VecDeque<(u32, usize)> = VecDeque::new();
-    for b in 0..ids::narrow(blocks.len()) {
-        for l in 0..k {
-            worklist.push_back((b, l));
-        }
-    }
-    // Epoch-stamped scratch: preimage membership per state, touched marker
-    // per block (one epoch per worklist pop).
-    let mut marked: Vec<u64> = vec![0; n];
-    let mut touched_stamp: Vec<u64> = vec![0; blocks.len()];
-    let mut epoch: u64 = 0;
+    let mut worklist: VecDeque<(u32, usize)> = (0..ids::narrow(p.num_blocks()))
+        .flat_map(|b| (0..k).map(move |l| (b, l)))
+        .collect();
+    let mut splitter: Vec<StateId> = Vec::new();
 
     while let Some((a, l)) = worklist.pop_front() {
-        epoch += 1;
         // X = pre_l(A) for the current contents of A.
-        let mut touched: Vec<u32> = Vec::new();
-        for &y in &blocks[a as usize] {
-            for &p in graph.predecessors(l, y.index()) {
-                if marked[p.index()] != epoch {
-                    marked[p.index()] = epoch;
-                    let b = block_of[p.index()];
-                    if touched_stamp[b as usize] != epoch {
-                        touched_stamp[b as usize] = epoch;
-                        touched.push(b);
-                    }
-                }
+        splitter.clear();
+        splitter.extend_from_slice(p.elements(a));
+        for &y in &splitter {
+            for &s in graph.predecessors(l, y.index()) {
+                p.mark(s);
             }
         }
-        for &d in &touched {
-            let (inside, outside): (Vec<crate::ids::StateId>, Vec<crate::ids::StateId>) = blocks
-                [d as usize]
-                .iter()
-                .partition(|&&s| marked[s.index()] == epoch);
-            if inside.is_empty() || outside.is_empty() {
-                continue;
-            }
-            let new_id = ids::narrow(blocks.len());
-            // Keep the larger part in place; the smaller part gets the new id
-            // (so re-processing enqueues the smaller half, Hopcroft's trick —
-            // sound here, unlike in the relational case, because the fₗ are
-            // functions).
-            let (keep, moved) = if inside.len() >= outside.len() {
-                (inside, outside)
-            } else {
-                (outside, inside)
-            };
-            for &s in &moved {
-                block_of[s.index()] = new_id;
-            }
-            blocks[d as usize] = keep;
-            blocks.push(moved);
-            touched_stamp.push(0);
+        // The smaller part of every split gets the new id, so enqueueing it
+        // under every label is Hopcroft's trick — sound here, unlike in the
+        // relational case, because the fₗ are functions.  If (old, label) is
+        // still pending it will be processed with its new (larger-half)
+        // contents; otherwise the smaller half suffices.
+        p.split(|_, new| {
             for label in 0..k {
-                // If (d, label) is still pending it will be processed with its
-                // new (smaller) contents, and we add the new block as well;
-                // otherwise adding the smaller of the two halves suffices.
-                worklist.push_back((new_id, label));
+                worklist.push_back((new, label));
             }
-        }
+        });
     }
 
-    Partition::from_assignment(&block_of)
+    p.into_partition()
 }
 
 /// Builds the minimized DFA: the quotient of `dfa` by [`minimize`], with the

@@ -47,9 +47,12 @@
 //!   `c` (the module docs spell out the Section 3 argument).
 //!
 //! All of them produce the same (canonical) partition; the test-suites, the
-//! root property tests, and the `partition_refinement`/`partition_core`
-//! benches cross-check them against each other, with [`naive`] as the
-//! independent reference.
+//! root property tests, and the `report` binary's E7, SOLVE and SCALE
+//! tables cross-check them against each other, with [`naive`] as the
+//! independent reference.  Both Kanellakis–Smolka variants and [`hopcroft`]
+//! split blocks through one crate-private refinable partition (Valmari &
+//! Lehtinen 2008), so a split costs `O(marked)`; [`naive`] keeps its own
+//! signature rounds.
 //!
 //! The crate also contains the two classical deterministic-case tools the
 //! paper mentions in Section 3: [`hopcroft`] DFA minimization
@@ -94,6 +97,7 @@ mod instance;
 pub mod kanellakis_smolka;
 pub mod naive;
 mod partition;
+mod refinable;
 mod union_find;
 
 pub use dfa::Dfa;

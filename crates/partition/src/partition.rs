@@ -28,18 +28,7 @@ impl Partition {
     /// element list comes out sorted).
     #[must_use]
     pub fn from_assignment<T: Copy + Eq + std::hash::Hash>(assignment: &[T]) -> Self {
-        let mut remap = std::collections::HashMap::new();
-        let mut block_of = vec![0u32; assignment.len()];
-        let mut blocks: Vec<Vec<StateId>> = Vec::new();
-        for (elem, &raw) in assignment.iter().enumerate() {
-            let fresh = ids::narrow(remap.len());
-            let id = *remap.entry(raw).or_insert(fresh);
-            if id as usize == blocks.len() {
-                blocks.push(Vec::new());
-            }
-            block_of[elem] = id;
-            blocks[id as usize].push(StateId::from_index(elem));
-        }
+        let (block_of, blocks) = Partition::from_raw_assignment(assignment);
         Partition { block_of, blocks }
     }
 

@@ -4,7 +4,7 @@
 //! These are the partition-kernel counterparts of the process-level
 //! [`families`](crate::families) and [`random`](crate::random) generators:
 //! the same topologies, but expressed as [`Instance`] edge lists so the
-//! solver benches (`partition_core`) and cross-solver property tests can
+//! report's solver tables (E7, SCALE) and cross-solver property tests can
 //! exercise the refinement kernels without going through an FSP build and
 //! the Lemma 3.1 reduction first.  Every generator funnels its edges through
 //! the instance's [`GraphBuilder`](ccs_partition::GraphBuilder), so the
